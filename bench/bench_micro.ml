@@ -32,6 +32,14 @@ let encoded_msg = Message.encode_string sample_msg
 let partials =
   List.init 21 (fun i -> Threshold.sign kc ~signer:i "digest-to-certify")
 
+let resident_queue =
+  let q = Marlin_sim.Event_queue.create () in
+  Marlin_sim.Event_queue.push q ~time:60.0 (-1);
+  for i = 0 to 3999 do
+    Marlin_sim.Event_queue.push q ~time:(float_of_int (i * 7919 mod 50) *. 1e-3) i
+  done;
+  q
+
 let tests =
   [
     Test.make ~name:"sha256 1KiB" (Staged.stage (fun () -> Sha256.string payload_1k));
@@ -63,6 +71,21 @@ let tests =
            done;
            while not (Marlin_sim.Event_queue.is_empty q) do
              ignore (Marlin_sim.Event_queue.pop q)
+           done));
+    Test.make ~name:"event queue push+pop x100 (4k held, 1 at +60 s)"
+      (Staged.stage (fun () ->
+           (* a long run's shape: thousands of entries due within ~50 ms
+              and one (crash schedule, end sentinel) 60 s ahead, which
+              stays that far ahead when it pops *)
+           for i = 0 to 99 do
+             match Marlin_sim.Event_queue.pop resident_queue with
+             | Some (time, v) ->
+                 let delay =
+                   if v < 0 then 60.0
+                   else float_of_int ((i * 7919) land 63) *. 1e-3
+                 in
+                 Marlin_sim.Event_queue.push resident_queue ~time:(time +. delay) v
+             | None -> ()
            done));
   ]
 

@@ -82,7 +82,6 @@ module Make (P : C.PROTOCOL) = struct
     mutable crashed : bool;
     mutable executed : int;
     mutable commit_log : (float * int) list; (* (time, ops) newest first *)
-    exec_seen : (int * int, unit) Hashtbl.t;
   }
 
   type client = {
@@ -172,20 +171,21 @@ module Make (P : C.PROTOCOL) = struct
        the CPU-completion instant. *)
     let crypto_cost = Cpu_meter.take (P.cpu_meter r.proto) in
     let commit_cost = ref 0. in
-    let commits = ref [] in
+    let block_commits = ref [] in (* per-block executed ops, newest first *)
     List.iter
       (fun a ->
         match a with
         | C.Commit blocks ->
             List.iter
               (fun b ->
+                (* execute each op once per replica: marking it as it
+                   passes also drops a key repeated within this commit *)
                 let ops =
                   List.filter
                     (fun op ->
-                      let key = Operation.key op in
-                      if Hashtbl.mem r.exec_seen key then false
+                      if Mempool.is_committed r.mempool op then false
                       else begin
-                        Hashtbl.replace r.exec_seen key ();
+                        Mempool.mark_committed r.mempool [ op ];
                         true
                       end)
                     (Batch.to_list b.Block.payload)
@@ -199,23 +199,25 @@ module Make (P : C.PROTOCOL) = struct
                   +. Sim_disk.commit_cost r.disk ~bytes:block_bytes
                   +. (float_of_int (List.length ops) *. t.params.exec_cost)
                   +. Cost_model.hash_cost ~bytes:block_bytes;
-                Mempool.mark_committed r.mempool ops;
-                commits := !commits @ ops)
+                block_commits := ops :: !block_commits)
               blocks
         | C.Send _ | C.Broadcast _ | C.Timer _ -> ())
       actions;
+    (* in commit order: the latency reservoir samples in this order *)
+    let commits = List.concat (List.rev !block_commits) in
     let finish = start +. crypto_cost +. !commit_cost in
     r.cpu_free <- finish;
     (* record metrics *)
-    (match !commits with
+    (match commits with
     | [] -> ()
     | _ :: _ ->
-        r.executed <- r.executed + List.length !commits;
-        r.commit_log <- (finish, List.length !commits) :: r.commit_log);
+        let k = List.length commits in
+        r.executed <- r.executed + k;
+        r.commit_log <- (finish, k) :: r.commit_log);
     (* open loop: the first replica to execute an op closes its latency
-       measurement (exec_seen dedup means each op lands here once per
-       replica, and the inflight lookup makes the first one win) *)
-    (match (t.open_loop, !commits) with
+       measurement (the committed-key filter means each op lands here once
+       per replica, and the inflight lookup makes the first one win) *)
+    (match (t.open_loop, commits) with
     | Some os, _ :: _ ->
         List.iter
           (fun (op : Operation.t) ->
@@ -234,7 +236,7 @@ module Make (P : C.PROTOCOL) = struct
                         Marlin_obs.Timeseries.note_completion ts ~time:finish
                           ~latency:(finish -. t0)))
             | None -> ())
-          !commits
+          commits
     | _ -> ());
     (* emit *)
     List.iter
@@ -277,7 +279,7 @@ module Make (P : C.PROTOCOL) = struct
             (Message.make ~sender:r.id ~view:0
                (Message.Client_reply
                   { client = op.Operation.client; seq = op.Operation.seq })))
-      !commits
+      commits
 
   and handle_replica t (r : replica) ~src (m : Message.t) =
     if not r.crashed then begin
@@ -504,7 +506,6 @@ module Make (P : C.PROTOCOL) = struct
         crashed = false;
         executed = 0;
         commit_log = [];
-        exec_seen = Hashtbl.create 1024;
       }
     in
     let make_client index =

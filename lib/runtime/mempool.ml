@@ -27,12 +27,21 @@ type stats = {
   peak_occupancy : int;
 }
 
-type status = In_pool | Taken | Committed
+type status = Unseen | In_pool | Taken | Committed
+
+(* [seen] stores a status as a {!Key_table} code; 0 is [Unseen]. *)
+let code = function Unseen -> 0 | In_pool -> 1 | Taken -> 2 | Committed -> 3
+
+let status_of_code = function
+  | 1 -> In_pool
+  | 2 -> Taken
+  | 3 -> Committed
+  | _ -> Unseen
 
 type t = {
   config : Config.t;
   queue : Operation.t Queue.t;
-  seen : (int * int, status) Hashtbl.t;
+  seen : Key_table.t; (* every key ever admitted or committed *)
   taken : (int * int, Operation.t) Hashtbl.t; (* taken, not yet committed *)
   held : (int, int) Hashtbl.t; (* in-flight (In_pool + Taken) ops per client *)
   mutable stale : int; (* committed ops still sitting in [queue] *)
@@ -47,7 +56,7 @@ let create ?(config = Config.unbounded) () =
   {
     config;
     queue = Queue.create ();
-    seen = Hashtbl.create 256;
+    seen = Key_table.create ();
     taken = Hashtbl.create 64;
     held = Hashtbl.create 64;
     stale = 0;
@@ -59,6 +68,14 @@ let create ?(config = Config.unbounded) () =
   }
 
 let config t = t.config
+
+let status t (op : Operation.t) =
+  status_of_code
+    (Key_table.find t.seen ~client:op.Operation.client ~seq:op.Operation.seq)
+
+let set_status t (op : Operation.t) s =
+  Key_table.replace t.seen ~client:op.Operation.client ~seq:op.Operation.seq
+    (code s)
 
 (* In-flight operations this pool is responsible for: queued and not yet
    committed, plus taken into a block and not yet committed. *)
@@ -77,8 +94,10 @@ let decr_held t client =
   | k -> Hashtbl.replace t.held client k
 
 let add t op =
-  let key = Operation.key op in
-  if Hashtbl.mem t.seen key then begin
+  let known =
+    match status t op with In_pool | Taken | Committed -> true | Unseen -> false
+  in
+  if known then begin
     t.s_duplicates <- t.s_duplicates + 1;
     Duplicate
   end
@@ -92,7 +111,7 @@ let add t op =
     Rejected Per_client_cap
   end
   else begin
-    Hashtbl.replace t.seen key In_pool;
+    set_status t op In_pool;
     Queue.push op t.queue;
     incr_held t op.Operation.client;
     t.s_admitted <- t.s_admitted + 1;
@@ -114,9 +133,10 @@ let stats t =
    iteration) would make otherwise-identical runs diverge. *)
 let sort_by_key ops =
   List.sort
-    (fun a b ->
-      let ca, sa = Operation.key a and cb, sb = Operation.key b in
-      match Int.compare ca cb with 0 -> Int.compare sa sb | c -> c)
+    (fun (a : Operation.t) (b : Operation.t) ->
+      match Int.compare a.client b.client with
+      | 0 -> Int.compare a.seq b.seq
+      | c -> c)
     ops
 
 let take t ~max =
@@ -124,38 +144,38 @@ let take t ~max =
     if k = 0 || Queue.is_empty t.queue then List.rev acc
     else
       let op = Queue.pop t.queue in
-      match Hashtbl.find_opt t.seen (Operation.key op) with
-      | Some In_pool ->
-          Hashtbl.replace t.seen (Operation.key op) Taken;
+      match status t op with
+      | In_pool ->
+          set_status t op Taken;
           Hashtbl.replace t.taken (Operation.key op) op;
           go (k - 1) (op :: acc)
-      | Some Committed ->
+      | Committed ->
           t.stale <- t.stale - 1;
           go k acc
-      | Some Taken | None -> go k acc
+      | Taken | Unseen -> go k acc
   in
   sort_by_key (go max [])
 
 let mark_committed t ops =
   List.iter
     (fun op ->
-      let key = Operation.key op in
-      (match Hashtbl.find_opt t.seen key with
-      | Some In_pool ->
+      (match status t op with
+      | In_pool ->
           t.stale <- t.stale + 1;
           decr_held t op.Operation.client
-      | Some Taken -> decr_held t op.Operation.client
-      | Some Committed | None -> ());
-      Hashtbl.remove t.taken key;
-      Hashtbl.replace t.seen key Committed)
+      | Taken ->
+          decr_held t op.Operation.client;
+          Hashtbl.remove t.taken (Operation.key op)
+      | Committed | Unseen -> ());
+      set_status t op Committed)
     ops
 
 let pending t = Queue.length t.queue - t.stale
 
 let is_committed t op =
-  match Hashtbl.find_opt t.seen (Operation.key op) with
-  | Some Committed -> true
-  | Some In_pool | Some Taken | None -> false
+  match status t op with
+  | Committed -> true
+  | In_pool | Taken | Unseen -> false
 
 let requeue_taken t =
   (* the fold's order is a hashtable artifact; sort so the re-queued ops
@@ -168,15 +188,15 @@ let requeue_taken t =
   Hashtbl.reset t.taken;
   List.iter
     (fun op ->
-      Hashtbl.replace t.seen (Operation.key op) In_pool;
+      set_status t op In_pool;
       Queue.push op t.queue)
     ops
 
 let snapshot t =
   Queue.fold
     (fun acc op ->
-      match Hashtbl.find_opt t.seen (Operation.key op) with
-      | Some In_pool -> op :: acc
-      | Some Taken | Some Committed | None -> acc)
+      match status t op with
+      | In_pool -> op :: acc
+      | Taken | Committed | Unseen -> acc)
     [] t.queue
   |> List.rev

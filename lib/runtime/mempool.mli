@@ -79,7 +79,9 @@ val take : t -> max:int -> Marlin_types.Operation.t list
 
 val mark_committed : t -> Marlin_types.Operation.t list -> unit
 (** Remove committed operations, remember their keys, and release their
-    occupancy and per-client budget. *)
+    occupancy and per-client budget. A key never added here is remembered
+    as committed too, so {!is_committed} is the replica's record of every
+    operation it has executed. *)
 
 val pending : t -> int
 

@@ -1,6 +1,9 @@
-(** A priority queue of timestamped events — a calendar queue with O(1)
-    amortized push/pop. Ties break by insertion order (a monotonically
-    increasing sequence number), which keeps simulations deterministic. *)
+(** A priority queue of timestamped events — a binary min-heap over flat
+    arrays, O(log n) push/pop whatever the spread of pending times. Ties
+    break by insertion order (a monotonically increasing sequence number),
+    which keeps simulations deterministic. Push and pop allocate only the
+    popped [Some (time, value)]; popped slots are cleared, so the queue
+    keeps no popped value alive. *)
 
 type 'a t
 

@@ -3,6 +3,7 @@
 
 open Marlin_types
 module Mempool = Marlin_runtime.Mempool
+module Key_table = Marlin_runtime.Key_table
 module Cluster = Marlin_runtime.Cluster
 module Experiment = Marlin_runtime.Experiment
 module Workload = Marlin_workload.Workload
@@ -53,6 +54,22 @@ let test_mempool_commit_clears () =
     (Mempool.add m (op 2));
   Alcotest.(check bool) "is_committed" true (Mempool.is_committed m (op 2));
   Alcotest.(check bool) "taken, not committed" false (Mempool.is_committed m (op 1))
+
+(* The cluster executes an op only if its replica's pool does not hold it
+   as committed, and marks it as it passes — so a key committed without
+   ever reaching this pool (a block another leader batched) must read as
+   committed and must not re-enter. *)
+let test_mempool_commit_unseen () =
+  let m = Mempool.create () in
+  Alcotest.(check bool) "unknown op not committed" false
+    (Mempool.is_committed m (op 7));
+  Mempool.mark_committed m [ op 7 ];
+  Alcotest.(check bool) "committed without add" true
+    (Mempool.is_committed m (op 7));
+  Alcotest.check admission "cannot enter after commit" Mempool.Duplicate
+    (Mempool.add m (op 7));
+  Alcotest.(check int) "nothing pending" 0 (Mempool.pending m);
+  Alcotest.(check int) "no occupancy" 0 (Mempool.occupancy m)
 
 let test_mempool_requeue_taken () =
   let m = Mempool.create () in
@@ -240,6 +257,83 @@ let qcheck_pool_pressure =
     (QCheck.Test.make ~count:300 ~name:"bounded pool invariants under pressure"
        pool_script_arb run_pool_script)
 
+(* ---------- flat key table ---------- *)
+
+(* Keys that share the low 10 bits of their hash: up to 1024 slots they
+   start their probes at the same slot, so they pile into one cluster. *)
+let colliding_keys =
+  let target = Key_table.hash ~client:0 ~seq:0 land 1023 in
+  let rec go seq acc k =
+    if k = 0 then List.rev acc
+    else if Key_table.hash ~client:0 ~seq land 1023 = target then
+      go (seq + 1) ((0, seq) :: acc) (k - 1)
+    else go (seq + 1) acc k
+  in
+  Array.of_list (go 0 [] 48)
+
+let key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, pair (int_bound 7) (int_bound 300));
+        (2, oneofa colliding_keys);
+        ( 1,
+          pair
+            (oneofl [ max_int; min_int; 0; -1; max_int - 1 ])
+            (oneofl [ max_int; min_int; 0; -1; 1 ]) );
+        (1, pair int int);
+      ])
+
+(* Drive the table and a [Hashtbl] with the same replace/find script; the
+   scripts run long enough to double the table several times. *)
+let qcheck_key_table_model =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun k c -> `Replace (k, c)) key_gen (int_range 1 255));
+          (2, map (fun k -> `Find k) key_gen);
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"key table == Hashtbl"
+       (QCheck.make
+          ~print:(fun l -> string_of_int (List.length l) ^ " ops")
+          QCheck.Gen.(list_size (50 -- 1500) op_gen))
+       (fun ops ->
+         let t = Key_table.create () and m = Hashtbl.create 64 in
+         List.for_all
+           (fun op ->
+             match op with
+             | `Replace ((client, seq), code) ->
+                 Key_table.replace t ~client ~seq code;
+                 Hashtbl.replace m (client, seq) code;
+                 Key_table.length t = Hashtbl.length m
+             | `Find (client, seq) ->
+                 Key_table.find t ~client ~seq
+                 = Option.value ~default:0 (Hashtbl.find_opt m (client, seq)))
+           ops
+         && Hashtbl.fold
+              (fun (client, seq) code ok ->
+                ok && Key_table.find t ~client ~seq = code)
+              m true))
+
+let test_key_table_codes () =
+  let t = Key_table.create () in
+  Alcotest.(check int) "absent" 0 (Key_table.find t ~client:max_int ~seq:max_int);
+  Key_table.replace t ~client:max_int ~seq:max_int 255;
+  Alcotest.(check int) "max_int key" 255
+    (Key_table.find t ~client:max_int ~seq:max_int);
+  Alcotest.(check int) "other field differs" 0
+    (Key_table.find t ~client:max_int ~seq:0);
+  Alcotest.check_raises "code 0 is reserved"
+    (Invalid_argument "Key_table.replace: code must be in 1..255") (fun () ->
+      Key_table.replace t ~client:1 ~seq:1 0);
+  Alcotest.check_raises "code above a byte"
+    (Invalid_argument "Key_table.replace: code must be in 1..255") (fun () ->
+      Key_table.replace t ~client:1 ~seq:1 256);
+  Alcotest.(check int) "one key" 1 (Key_table.length t)
+
 (* ---------- cluster measurement plumbing ---------- *)
 
 module Cl = Cluster.Make (Marlin_core.Chained_marlin)
@@ -325,12 +419,15 @@ let suite =
     ("mempool FIFO", `Quick, test_mempool_fifo);
     ("mempool dedup", `Quick, test_mempool_dedup);
     ("mempool commit clears", `Quick, test_mempool_commit_clears);
+    ("mempool commit of an unseen op", `Quick, test_mempool_commit_unseen);
     ("mempool requeues orphaned ops", `Quick, test_mempool_requeue_taken);
     ("mempool batches are canonical", `Quick, test_mempool_batch_canonical);
     ("mempool snapshot", `Quick, test_mempool_snapshot);
     ("mempool capacity bound", `Quick, test_mempool_capacity);
     ("mempool per-client cap", `Quick, test_mempool_per_client_cap);
     qcheck_pool_pressure;
+    qcheck_key_table_model;
+    ("key table codes and extreme keys", `Quick, test_key_table_codes);
     ("cluster measurement windows", `Quick, test_cluster_windows);
     ("cluster determinism", `Quick, test_cluster_deterministic);
     ("cluster crash plumbing", `Quick, test_cluster_crash_plumbing);

@@ -123,9 +123,7 @@ module Naive = struct
 
   let create () = { entries = []; next = 0 }
 
-  let push t ~time v =
-    let seq = t.next in
-    t.next <- seq + 1;
+  let push_at t ~time ~seq v =
     let rec ins = function
       | [] -> [ (time, seq, v) ]
       | (t', s', _) :: _ as rest when time < t' || (time = t' && seq < s') ->
@@ -133,6 +131,14 @@ module Naive = struct
       | e :: rest -> e :: ins rest
     in
     t.entries <- ins t.entries
+
+  let push_keyed t ~time v =
+    let seq = t.next in
+    t.next <- seq + 1;
+    push_at t ~time ~seq v;
+    seq
+
+  let push t ~time v = ignore (push_keyed t ~time v : int)
 
   let pop t =
     match t.entries with
@@ -146,30 +152,35 @@ module Naive = struct
 end
 
 let queue_model_test =
-  (* Drive the calendar queue and the naive model with the same random
-     op sequence and require identical observable behaviour. Times are
-     quantised (i/8) to force (time, seq) ties, mixed with occasional
-     huge values to force cross-bucket rollover and resizes, and pops
-     interleave with pushes so the cursor must rewind for entries pushed
-     into already-visited epochs. *)
+  (* Drive the event queue and the naive model with the same random op
+     sequence and require identical observable behaviour. Times are
+     quantised (i/8) to force (time, seq) ties, mixed with occasional huge
+     values far ahead of the rest, and pops interleave with pushes.
+     [`Cycle] is the broadcast fan-out record's pattern: push_keyed, pop
+     the earliest entry, and if that entry was keyed, re-insert it under
+     its held seq at a later (often tied) time. Every entry's value is its
+     seq, so a popped value names the seq to re-insert under. *)
   let open QCheck in
+  let tick = Gen.map (fun i -> float_of_int i /. 8.) in
   let op_gen =
     Gen.(
       frequency
         [
-          (6, map (fun i -> `Push (float_of_int i /. 8.)) (int_bound 400));
+          (6, map (fun t -> `Push t) (tick (int_bound 400)));
           (1, map (fun i -> `Push (1e6 +. (float_of_int i *. 64.))) (int_bound 50));
+          (3, map2 (fun t d -> `Cycle (t, d)) (tick (int_bound 400)) (tick (int_bound 8)));
           (4, return `Pop);
           (1, return `Peek);
         ])
   in
-  Test.make ~count:200 ~name:"calendar queue == naive sorted list"
+  Test.make ~count:200 ~name:"event queue == naive sorted list"
     (make
        ~print:(fun l -> string_of_int (List.length l) ^ " ops")
        (Gen.list_size Gen.(10 -- 200) op_gen))
     (fun ops ->
       let q = Event_queue.create () in
       let m = Naive.create () in
+      let keyed = Hashtbl.create 64 in
       List.for_all
         (fun op ->
           match op with
@@ -178,6 +189,20 @@ let queue_model_test =
               Naive.push m ~time v;
               Event_queue.push q ~time v;
               true
+          | `Cycle (time, delay) -> (
+              let v = Naive.(m.next) in
+              let seq = Event_queue.push_keyed q ~time v in
+              let seq' = Naive.push_keyed m ~time v in
+              Hashtbl.replace keyed seq ();
+              let popped = Event_queue.pop q in
+              seq = seq' && popped = Naive.pop m
+              &&
+              match popped with
+              | Some (t, v) when Hashtbl.mem keyed v ->
+                  Event_queue.push_at q ~time:(t +. delay) ~seq:v v;
+                  Naive.push_at m ~time:(t +. delay) ~seq:v v;
+                  true
+              | Some _ | None -> true)
           | `Pop -> Event_queue.pop q = Naive.pop m
           | `Peek ->
               Event_queue.peek_time q = Naive.peek_time m
@@ -190,6 +215,40 @@ let queue_model_test =
         a = b && (a = None || drain ())
       in
       drain ())
+
+(* Allocation pin: the queue the simulator runs on must not allocate in
+   proportion to its occupancy or to the spread of pending times. The
+   shape is a long run's: thousands of entries due within ~50 ms while
+   one (a crash schedule, the end sentinel) sits 60 s ahead. Per push+pop
+   only the popped [Some (time, value)] and the boxed push time may
+   allocate. *)
+let test_event_queue_alloc_bound () =
+  let q = Event_queue.create () in
+  let rng = Rng.create ~seed:3 in
+  Event_queue.push q ~time:60.0 (-1);
+  for i = 0 to 3999 do
+    Event_queue.push q ~time:(Rng.float rng 0.05) i
+  done;
+  let cycle i =
+    match Event_queue.pop q with
+    | Some (time, _) ->
+        Event_queue.push q ~time:(time +. (float_of_int (i land 63) *. 1e-3)) i
+    | None -> Alcotest.fail "queue drained"
+  in
+  (* warm up: any growth of the backing arrays happens here *)
+  for i = 1 to 1000 do
+    cycle i
+  done;
+  let rounds = 5000 in
+  let before = Gc.minor_words () in
+  for i = 1 to rounds do
+    cycle i
+  done;
+  let per_cycle = (Gc.minor_words () -. before) /. float_of_int rounds in
+  Alcotest.(check bool)
+    (Printf.sprintf "push+pop stays under 16 words (%.2f)" per_cycle)
+    true (per_cycle < 16.);
+  Alcotest.(check int) "occupancy held" 4001 (Event_queue.length q)
 
 (* ---------- sim clock ---------- *)
 
@@ -501,6 +560,7 @@ let suite =
     ("event queue ordering", `Quick, test_event_queue_ordering);
     ("event queue stress", `Quick, test_event_queue_stress);
     ("event queue keyed ties", `Quick, test_event_queue_keyed_ties);
+    ("event queue push+pop allocation bound", `Quick, test_event_queue_alloc_bound);
     ("sim run order", `Quick, test_sim_run_order);
     ("sim run until", `Quick, test_sim_run_until);
     ("sim clamps past events", `Quick, test_sim_past_events_clamp);

@@ -24,7 +24,7 @@
 # The scaling gate (`dune build @bench-scaling`) sweeps every registry
 # protocol over n up to 64 and diffs message/authenticator counts, peak
 # event-queue occupancy and wall time against its own baseline, so a
-# broadcast fan-out or calendar-queue regression fails CI even when the
+# broadcast fan-out or event-queue regression fails CI even when the
 # small-n smoke numbers are unchanged.
 #
 # The load gate (`dune build @bench-load`) sweeps open-loop offered load
