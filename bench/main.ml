@@ -27,9 +27,9 @@ module Arrival = Marlin_workload.Arrival
 (* Every target appends labelled records as it prints its tables; with
    --json FILE the collected records are written as one schema-versioned
    document. The committed regression baselines (bench/baselines/) are
-   exactly such documents, and the regress target reads them back. *)
+   exactly such documents, and the gates read them back. *)
 module Recorder = struct
-  let schema = "marlin-bench/1"
+  let schema = Marlin_obs.Gate.schema
   let target = ref ""
   let set_target t = target := t
 
@@ -47,11 +47,20 @@ module Recorder = struct
     Buffer.contents buf
 
   let add ~label data = records := (!target, label, data) :: !records
+  let count () = List.length !records
 
-  (* Targets whose --json output must be bit-identical across repeated
-     runs (the load baseline) set this; the envelope then reports a fixed
-     wall_seconds instead of the measured one — the only field of the
-     document that is not a deterministic function of the seed. *)
+  (* (label, data) of the records added since [count () = mark], oldest
+     first *)
+  let since mark =
+    let added = count () - mark in
+    List.filteri (fun i _ -> i < added) !records
+    |> List.rev_map (fun (_, label, data) -> (label, data))
+
+  (* Set by the targets whose --json output must be bit-identical across
+     repeated runs (the load and attribution baselines); the envelope then
+     reports a fixed wall_seconds instead of the measured one — the only
+     field of the document that is not a deterministic function of the
+     seed. *)
   let fixed_wall = ref false
 
   let write ~path ~wall_seconds =
@@ -660,14 +669,9 @@ let observe ~full ~trace_file ~metrics_file () =
    protocols (critical-path breakdown included) plus one quick point from
    each experiment family. Running this with --json produces the document
    committed as bench/baselines/BENCH_smoke.json; regress re-runs it and
-   diffs. Returns the records for regress to compare. *)
+   diffs. *)
 let smoke () =
   section "Smoke: traced profile runs + one point per experiment family";
-  let recs = ref [] in
-  let put label data =
-    recs := (label, data) :: !recs;
-    Recorder.add ~label data
-  in
   List.iter
     (fun (label, proto) ->
       let params = bench_params ~clients:1 1 in
@@ -677,7 +681,7 @@ let smoke () =
       in
       Format.printf "%a%!" Obs.Critical_path.pp
         (Experiment.critical_path ~label obs);
-      put (label ^ "/profile")
+      Recorder.add ~label:(label ^ "/profile")
         (Experiment.profile_json ~label ~sim_seconds:4.0 r obs))
     [ ("marlin", basic_marlin); ("hotstuff", basic_hotstuff); ("pbft", pbft) ];
   List.iter
@@ -688,7 +692,8 @@ let smoke () =
       in
       Printf.printf "%s loaded point: %.0f op/s, agreement %B\n" label
         r.Experiment.throughput r.Experiment.agreement;
-      put (label ^ "/tput") (Experiment.Result.throughput_to_json r))
+      Recorder.add ~label:(label ^ "/tput")
+        (Experiment.Result.throughput_to_json r))
     [ ("marlin", marlin); ("hotstuff", hotstuff) ];
   List.iter
     (fun (label, proto, force_unhappy) ->
@@ -698,7 +703,8 @@ let smoke () =
       Printf.printf "%s view change: %.0f ms (%s)\n" label
         (r.Experiment.vc_latency *. 1000.)
         (if r.Experiment.unhappy then "unhappy" else "happy");
-      put (label ^ "/vc") (Experiment.Result.view_change_to_json r))
+      Recorder.add ~label:(label ^ "/vc")
+        (Experiment.Result.view_change_to_json r))
     [
       ("marlin", basic_marlin, false);
       ("marlin-unhappy", basic_marlin, true);
@@ -717,9 +723,9 @@ let smoke () =
              (r.Experiment.recovery_latency *. 1000.)
          else "NEVER RECOVERED")
         r.Experiment.vc_messages r.Experiment.agreement;
-      put (label ^ "/fault") (Experiment.Result.fault_to_json r))
-    [ ("marlin", basic_marlin); ("hotstuff", basic_hotstuff) ];
-  List.rev !recs
+      Recorder.add ~label:(label ^ "/fault")
+        (Experiment.Result.fault_to_json r))
+    [ ("marlin", basic_marlin); ("hotstuff", basic_hotstuff) ]
 
 (* Post-hoc span analysis of a JSONL trace file (the output of
    [observe --trace FILE]), one critical-path report per run label. With
@@ -774,162 +780,6 @@ let spans ~trace_file ~windows () =
                (Obs.Timeseries.to_json ~label ts)))
     (Obs.Trace_reader.runs (Obs.Trace_reader.read_file path))
 
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* The regression gate: re-run smoke and compare every metric the baseline
-   recorded. Throughput and latency get the user-facing relative tolerance
-   (--tolerance, default 15%); per-block message/authenticator counts and
-   the critical path's quorum-wait count are structural consequences of
-   the protocol, so they get tight fixed tolerances — a change there is a
-   behaviour change, not noise. Returns the number of violations. *)
-let regress ~baseline ~tolerance () =
-  let module J = Obs.Json_lite in
-  let path =
-    Option.value ~default:"bench/baselines/BENCH_smoke.json" baseline
-  in
-  let tol =
-    match tolerance with
-    | None -> 0.15
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some t when t >= 0. -> t
-        | _ ->
-            Printf.eprintf "--tolerance wants a non-negative float, got %S\n" s;
-            exit 2)
-  in
-  section
-    (Printf.sprintf "Regression gate: fresh smoke run vs %s (tolerance %.0f%%)"
-       path (100. *. tol));
-  let text =
-    try read_all path
-    with Sys_error e ->
-      Printf.eprintf
-        "cannot read baseline: %s\n\
-         (record one with: bench/main.exe -- smoke --json %s)\n"
-        e path;
-      exit 2
-  in
-  let doc =
-    match J.parse text with
-    | Ok d -> d
-    | Error e ->
-        Printf.eprintf "%s: %s\n" path e;
-        exit 2
-  in
-  (match J.string_at [ "schema" ] doc with
-  | Some s when s = Recorder.schema -> ()
-  | Some s ->
-      Printf.eprintf "%s: schema %S, this binary speaks %S\n" path s
-        Recorder.schema;
-      exit 2
-  | None ->
-      Printf.eprintf "%s: not a bench JSON document (no \"schema\" field)\n"
-        path;
-      exit 2);
-  let baseline_records =
-    match J.member "records" doc with
-    | Some records -> (
-        match J.to_list records with
-        | Some l ->
-            List.filter_map
-              (fun r ->
-                match (J.string_at [ "target" ] r, J.string_at [ "label" ] r) with
-                | Some "smoke", Some label ->
-                    Option.map (fun d -> (label, d)) (J.member "data" r)
-                | _ -> None)
-              l
-        | None -> [])
-    | None -> []
-  in
-  if baseline_records = [] then begin
-    Printf.eprintf "%s: no smoke records to compare against\n" path;
-    exit 2
-  end;
-  let fresh = smoke () in
-  let fresh_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (label, data) ->
-      match J.parse data with
-      | Ok d -> Hashtbl.replace fresh_tbl label d
-      | Error _ -> ())
-    fresh;
-  (* (path into the record, tolerance): a check applies to a record iff the
-     baseline record has that field *)
-  let checks =
-    [
-      ([ "throughput" ], tol);                    (* tput records *)
-      ([ "latency"; "mean" ], tol);
-      ([ "throughput"; "throughput" ], tol);      (* profile records *)
-      ([ "throughput"; "latency"; "mean" ], tol);
-      ([ "commit_latency"; "mean" ], tol);
-      ([ "msgs_per_block" ], 0.01);
-      ([ "auths_per_block" ], 0.01);
-      ([ "phase_breakdown"; "quorum_waits_per_commit" ], 1e-6);
-      ([ "vc_latency" ], tol);
-      ([ "vc_messages" ], 0.01);
-      ([ "vc_bytes" ], 0.05);
-      (* fault records: recovery is timing, traffic is structural *)
-      ([ "recovery_latency" ], tol);
-      ([ "vc_authenticators" ], 0.01);
-    ]
-  in
-  let checked = ref 0 and failures = ref 0 in
-  Printf.printf "\n";
-  List.iter
-    (fun (label, bdata) ->
-      match Hashtbl.find_opt fresh_tbl label with
-      | None ->
-          incr failures;
-          Printf.printf "  FAIL %-22s missing from the fresh smoke run\n" label
-      | Some fdata ->
-          (* the decomposition must stay exact, whatever the baseline says *)
-          (match
-             J.float_at [ "phase_breakdown"; "max_attribution_error" ] fdata
-           with
-          | Some e when e > 1e-9 ->
-              incr failures;
-              Printf.printf
-                "  FAIL %-22s span attribution error %.3g s exceeds 1e-9\n"
-                label e
-          | _ -> ());
-          List.iter
-            (fun (fpath, ctol) ->
-              match J.float_at fpath bdata with
-              | None -> ()
-              | Some b -> (
-                  let name = String.concat "." fpath in
-                  match J.float_at fpath fdata with
-                  | None ->
-                      incr failures;
-                      Printf.printf "  FAIL %-22s %-38s missing in fresh run\n"
-                        label name
-                  | Some f ->
-                      incr checked;
-                      let scale = Float.max (Float.abs b) 1e-9 in
-                      if Float.abs (f -. b) > (ctol *. scale) +. 1e-12
-                      then begin
-                        incr failures;
-                        Printf.printf
-                          "  FAIL %-22s %-38s baseline %-12.6g fresh %-12.6g \
-                           (%+.1f%%, tolerance %.1f%%)\n"
-                          label name b f
-                          (100. *. (f -. b) /. scale)
-                          (100. *. ctol)
-                      end))
-            checks)
-    baseline_records;
-  Printf.printf
-    "regress: %d records, %d metrics checked, %d violation%s -> %s\n"
-    (List.length baseline_records)
-    !checked !failures
-    (if !failures = 1 then "" else "s")
-    (if !failures = 0 then "PASS" else "FAIL");
-  !failures
-
 (* ------------------------------------------------------------------ *)
 (* Scaling: consensus traffic / latency / scheduler footprint vs n     *)
 (* ------------------------------------------------------------------ *)
@@ -976,7 +826,8 @@ let scaling ~smoke () =
   Printf.printf "%-18s %5s %10s %12s %12s %9s %8s %8s %10s %8s\n" "protocol"
     "n" "tput" "msgs/block" "auths/block" "vc ms" "vc msgs" "vc auth"
     "peak evts" "wall s";
-  let recs = ref [] in
+  (* ((protocol, n), view-change authenticators) for the headline *)
+  let vc_auths = ref [] in
   List.iter
     (fun (name, proto) ->
       let cap = scaling_cap ~smoke name in
@@ -1054,19 +905,14 @@ let scaling ~smoke () =
               vc.Experiment.vc_authenticators vc.Experiment.vc_bytes
               peak_events agreement wall
           in
-          recs := (label, data) :: !recs;
+          vc_auths :=
+            ((name, n), float_of_int vc.Experiment.vc_authenticators)
+            :: !vc_auths;
           Recorder.add ~label data)
         (List.filter (fun n -> n <= cap) ns))
     (Registry.all ());
   (* the headline: view-change authenticators, linear vs quadratic *)
-  let vc_auths_of proto_name n =
-    List.assoc_opt (Printf.sprintf "%s n=%d" proto_name n) !recs
-    |> Option.map (fun d ->
-           match Obs.Json_lite.parse d with
-           | Ok j -> Obs.Json_lite.float_at [ "vc_auths" ] j
-           | Error _ -> None)
-    |> Option.join
-  in
+  let vc_auths_of proto_name n = List.assoc_opt (proto_name, n) !vc_auths in
   let lo = List.hd ns in
   let growth proto_name =
     (* ratio over the protocol's widest measured span *)
@@ -1090,158 +936,7 @@ let scaling ~smoke () =
         (float_of_int m_hi_n /. float_of_int lo)
         p_lo lo p_hi p_hi_n (p_hi /. p_lo)
         (float_of_int p_hi_n /. float_of_int lo)
-  | _ -> ());
-  List.rev !recs
-
-(* Regression gate over the committed scaling baseline: a fresh smoke-size
-   sweep, structural counts tight, timing at the user tolerance, plus an
-   absolute wall-clock budget so a scheduler complexity regression (the
-   event queue or broadcast fan-out going super-linear) fails loudly even
-   if every simulated metric still matches. *)
-let scaling_regress ~baseline ~tolerance ~budget () =
-  let module J = Obs.Json_lite in
-  let path =
-    Option.value ~default:"bench/baselines/BENCH_scaling.json" baseline
-  in
-  let tol =
-    match tolerance with
-    | None -> 0.15
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some t when t >= 0. -> t
-        | _ ->
-            Printf.eprintf "--tolerance wants a non-negative float, got %S\n" s;
-            exit 2)
-  in
-  let budget =
-    match budget with
-    | None -> 120.
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some b when b > 0. -> b
-        | _ ->
-            Printf.eprintf "--budget wants a positive float (seconds), got %S\n" s;
-            exit 2)
-  in
-  section
-    (Printf.sprintf
-       "Scaling regression gate: fresh smoke sweep vs %s (tolerance %.0f%%, \
-        budget %.0f s)"
-       path (100. *. tol) budget);
-  let text =
-    try read_all path
-    with Sys_error e ->
-      Printf.eprintf
-        "cannot read baseline: %s\n\
-         (record one with: bench/main.exe -- scaling --smoke --json %s)\n"
-        e path;
-      exit 2
-  in
-  let doc =
-    match J.parse text with
-    | Ok d -> d
-    | Error e ->
-        Printf.eprintf "%s: %s\n" path e;
-        exit 2
-  in
-  (match J.string_at [ "schema" ] doc with
-  | Some s when s = Recorder.schema -> ()
-  | _ ->
-      Printf.eprintf "%s: not a %S document\n" path Recorder.schema;
-      exit 2);
-  let baseline_records =
-    match Option.bind (J.member "records" doc) J.to_list with
-    | Some l ->
-        List.filter_map
-          (fun r ->
-            match (J.string_at [ "target" ] r, J.string_at [ "label" ] r) with
-            | Some "scaling", Some label ->
-                Option.map (fun d -> (label, d)) (J.member "data" r)
-            | _ -> None)
-          l
-    | None -> []
-  in
-  if baseline_records = [] then begin
-    Printf.eprintf "%s: no scaling records to compare against\n" path;
-    exit 2
-  end;
-  let t0 = Unix.gettimeofday () in
-  let fresh = scaling ~smoke:true () in
-  let wall = Unix.gettimeofday () -. t0 in
-  let fresh_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (label, data) ->
-      match J.parse data with
-      | Ok d -> Hashtbl.replace fresh_tbl label d
-      | Error _ -> ())
-    fresh;
-  (* structural counts are deterministic consequences of the protocol and
-     the scheduler; timing metrics get the user tolerance *)
-  let checks =
-    [
-      ([ "blocks" ], tol);
-      ([ "happy_msgs" ], 0.01);
-      ([ "happy_auths" ], 0.01);
-      ([ "msgs_per_block" ], 0.02);
-      ([ "auths_per_block" ], 0.02);
-      ([ "vc_msgs" ], 0.02);
-      ([ "vc_auths" ], 0.02);
-      ([ "vc_latency" ], tol);
-      ([ "throughput" ], tol);
-      ([ "latency_mean" ], tol);
-      ([ "peak_events" ], 0.10);
-    ]
-  in
-  let checked = ref 0 and failures = ref 0 in
-  Printf.printf "\n";
-  List.iter
-    (fun (label, bdata) ->
-      match Hashtbl.find_opt fresh_tbl label with
-      | None ->
-          incr failures;
-          Printf.printf "  FAIL %-24s missing from the fresh sweep\n" label
-      | Some fdata ->
-          List.iter
-            (fun (fpath, ctol) ->
-              match J.float_at fpath bdata with
-              | None -> ()
-              | Some b -> (
-                  let name = String.concat "." fpath in
-                  match J.float_at fpath fdata with
-                  | None ->
-                      incr failures;
-                      Printf.printf "  FAIL %-24s %-18s missing in fresh run\n"
-                        label name
-                  | Some f ->
-                      incr checked;
-                      let scale = Float.max (Float.abs b) 1e-9 in
-                      if Float.abs (f -. b) > (ctol *. scale) +. 1e-12
-                      then begin
-                        incr failures;
-                        Printf.printf
-                          "  FAIL %-24s %-18s baseline %-12.6g fresh %-12.6g \
-                           (%+.1f%%, tolerance %.1f%%)\n"
-                          label name b f
-                          (100. *. (f -. b) /. scale)
-                          (100. *. ctol)
-                      end))
-            checks)
-    baseline_records;
-  if wall > budget then begin
-    incr failures;
-    Printf.printf
-      "  FAIL wall-time budget: fresh sweep took %.1f s, budget %.1f s (the \
-       scheduler got slower)\n"
-      wall budget
-  end;
-  Printf.printf
-    "scaling-regress: %d records, %d metrics checked, %.1f s of %.0f s \
-     budget, %d violation%s -> %s\n"
-    (List.length baseline_records)
-    !checked wall budget !failures
-    (if !failures = 1 then "" else "s")
-    (if !failures = 0 then "PASS" else "FAIL");
-  !failures
+  | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Load: open-loop offered-load sweeps over the bounded mempool        *)
@@ -1294,11 +989,6 @@ let load ~smoke () =
        "Load: open-loop goodput vs offered load (Poisson, 1M keys, mempool \
         cap 8000%s)"
        (if smoke then "; smoke" else ""));
-  let recs = ref [] in
-  let put label data =
-    recs := (label, data) :: !recs;
-    Recorder.add ~label data
-  in
   List.iter
     (fun (name, proto) ->
       List.iter
@@ -1322,8 +1012,10 @@ let load ~smoke () =
                 r.Experiment.peak_occupancy r.Experiment.agreement;
               if not r.Experiment.agreement then
                 Printf.printf "!! agreement violated\n";
-              put
-                (Printf.sprintf "%s n=%d rate=%.0f" name n r.Experiment.offered)
+              Recorder.add
+                ~label:
+                  (Printf.sprintf "%s n=%d rate=%.0f" name n
+                     r.Experiment.offered)
                 (Experiment.Result.open_loop_to_json r))
             points;
           let k, cap = Experiment.knee points in
@@ -1334,8 +1026,8 @@ let load ~smoke () =
             (match cap with
             | `Within_cap -> ""
             | `Fallback -> "  !! every point blew the 1 s cap");
-          put
-            (Printf.sprintf "%s n=%d knee" name n)
+          Recorder.add
+            ~label:(Printf.sprintf "%s n=%d knee" name n)
             (Printf.sprintf {|{"sustainable":%b,"point":%s}|}
                (cap = `Within_cap)
                (Experiment.Result.open_loop_to_json k)))
@@ -1350,154 +1042,7 @@ let load ~smoke () =
       ("basic-hotstuff", basic_hotstuff);
       ("pbft", pbft);
       ("twophase-insecure", twophase_insecure);
-    ];
-  List.rev !recs
-
-(* Regression gate over the committed load baseline, scaling-regress
-   style: a fresh smoke-size sweep; deterministic inputs and counts get
-   tight tolerances, timing the user tolerance, plus a wall budget so a
-   generator or admission-path slowdown fails loudly. *)
-let load_regress ~baseline ~tolerance ~budget () =
-  let module J = Obs.Json_lite in
-  let path = Option.value ~default:"bench/baselines/BENCH_load.json" baseline in
-  let tol =
-    match tolerance with
-    | None -> 0.15
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some t when t >= 0. -> t
-        | _ ->
-            Printf.eprintf "--tolerance wants a non-negative float, got %S\n" s;
-            exit 2)
-  in
-  let budget =
-    match budget with
-    | None -> 120.
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some b when b > 0. -> b
-        | _ ->
-            Printf.eprintf "--budget wants a positive float (seconds), got %S\n" s;
-            exit 2)
-  in
-  section
-    (Printf.sprintf
-       "Load regression gate: fresh smoke sweep vs %s (tolerance %.0f%%, \
-        budget %.0f s)"
-       path (100. *. tol) budget);
-  let text =
-    try read_all path
-    with Sys_error e ->
-      Printf.eprintf
-        "cannot read baseline: %s\n\
-         (record one with: bench/main.exe -- load --smoke --json %s)\n"
-        e path;
-      exit 2
-  in
-  let doc =
-    match J.parse text with
-    | Ok d -> d
-    | Error e ->
-        Printf.eprintf "%s: %s\n" path e;
-        exit 2
-  in
-  (match J.string_at [ "schema" ] doc with
-  | Some s when s = Recorder.schema -> ()
-  | _ ->
-      Printf.eprintf "%s: not a %S document\n" path Recorder.schema;
-      exit 2);
-  let baseline_records =
-    match Option.bind (J.member "records" doc) J.to_list with
-    | Some l ->
-        List.filter_map
-          (fun r ->
-            match (J.string_at [ "target" ] r, J.string_at [ "label" ] r) with
-            | Some "load", Some label ->
-                Option.map (fun d -> (label, d)) (J.member "data" r)
-            | _ -> None)
-          l
-    | None -> []
-  in
-  if baseline_records = [] then begin
-    Printf.eprintf "%s: no load records to compare against\n" path;
-    exit 2
-  end;
-  let t0 = Unix.gettimeofday () in
-  let fresh = load ~smoke:true () in
-  let wall = Unix.gettimeofday () -. t0 in
-  let fresh_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (label, data) ->
-      match J.parse data with
-      | Ok d -> Hashtbl.replace fresh_tbl label d
-      | Error _ -> ())
-    fresh;
-  (* the offered rate is an input and the arrival counts are deterministic
-     consequences of the seed; goodput/latency are timing *)
-  let checks =
-    [
-      ([ "offered" ], 1e-6);
-      ([ "generated" ], 0.01);
-      ([ "goodput" ], tol);
-      ([ "drop_rate" ], 0.02);
-      ([ "latency"; "p99" ], tol);
-      ([ "peak_occupancy" ], 0.10);
-      (* knee records nest the point *)
-      ([ "point"; "offered" ], 1e-6);
-      ([ "point"; "goodput" ], tol);
-      ([ "point"; "latency"; "p99" ], tol);
     ]
-  in
-  let checked = ref 0 and failures = ref 0 in
-  Printf.printf "\n";
-  List.iter
-    (fun (label, bdata) ->
-      match Hashtbl.find_opt fresh_tbl label with
-      | None ->
-          incr failures;
-          Printf.printf "  FAIL %-28s missing from the fresh sweep\n" label
-      | Some fdata ->
-          List.iter
-            (fun (fpath, ctol) ->
-              match J.float_at fpath bdata with
-              | None -> ()
-              | Some b -> (
-                  let name = String.concat "." fpath in
-                  match J.float_at fpath fdata with
-                  | None ->
-                      incr failures;
-                      Printf.printf "  FAIL %-28s %-18s missing in fresh run\n"
-                        label name
-                  | Some f ->
-                      incr checked;
-                      let scale = Float.max (Float.abs b) 1e-9 in
-                      if Float.abs (f -. b) > (ctol *. scale) +. 1e-12
-                      then begin
-                        incr failures;
-                        Printf.printf
-                          "  FAIL %-28s %-18s baseline %-12.6g fresh %-12.6g \
-                           (%+.1f%%, tolerance %.1f%%)\n"
-                          label name b f
-                          (100. *. (f -. b) /. scale)
-                          (100. *. ctol)
-                      end))
-            checks)
-    baseline_records;
-  if wall > budget then begin
-    incr failures;
-    Printf.printf
-      "  FAIL wall-time budget: fresh sweep took %.1f s, budget %.1f s (the \
-       open-loop path got slower)\n"
-      wall budget
-  end;
-  Printf.printf
-    "load-regress: %d records, %d metrics checked, %.1f s of %.0f s budget, \
-     %d violation%s -> %s\n"
-    (List.length baseline_records)
-    !checked wall budget !failures
-    (if !failures = 1 then "" else "s")
-    (if !failures = 0 then "PASS" else "FAIL");
-  !failures
 
 (* ------------------------------------------------------------------ *)
 (* Attribution: what breaks first at the knee                          *)
@@ -1552,11 +1097,6 @@ let attribution ~smoke () =
     (Printf.sprintf
        "Attribution: what breaks first at the knee (window %.2f s%s)" window
        (if smoke then "; smoke" else ""));
-  let recs = ref [] in
-  let put label data =
-    recs := (label, data) :: !recs;
-    Recorder.add ~label data
-  in
   let rows = ref [] in
   List.iter
     (fun (name, proto) ->
@@ -1581,7 +1121,7 @@ let attribution ~smoke () =
             Obs.Bottleneck.pp_verdict
             a.Experiment.past_knee.Experiment.verdict;
           rows := (label, a) :: !rows;
-          put label (Experiment.attribution_to_json a))
+          Recorder.add ~label (Experiment.attribution_to_json a))
         attribution_ns)
     (attribution_protocols ());
   (* headline: one line per protocol/n — the resource that binds past the
@@ -1603,193 +1143,202 @@ let attribution ~smoke () =
         (Obs.Bottleneck.name (Experiment.what_breaks_first a))
         (fst dominant)
         (100. *. snd dominant))
-    (List.rev !rows);
-  List.rev !recs
+    (List.rev !rows)
 
-(* Regression gate over the committed attribution baseline: verdicts are
-   behaviour and must match exactly; segment shares, knee goodput and the
-   latency tail get tolerances; the whole sweep sits under a wall
-   budget. *)
-let attribution_regress ~baseline ~tolerance ~budget () =
-  let module J = Obs.Json_lite in
-  let path =
-    Option.value ~default:"bench/baselines/BENCH_attribution.json" baseline
+(* ------------------------------------------------------------------ *)
+(* Regression gates: one table, one runner                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A gated target: the gate re-does its smoke-size run and checks every
+   metric the committed baseline recorded ([Obs.Gate.diff]). Structural
+   results (message/authenticator counts, arrival counts, verdicts) are
+   consequences of the protocol and the seed, so they get tight fixed
+   bounds: a drift there is a behaviour change, not noise. Timing gets
+   [Gate.tolerance]. [budget] bounds the fresh run's wall time, so a
+   simulator slowdown fails loudly even when every simulated metric still
+   matches. *)
+type gated = {
+  target : string;  (* the record target, and the command that runs it *)
+  command : string;  (* the gate's command, and its summary-line prefix *)
+  baseline : string;
+  run : smoke:bool -> unit;
+  budget : float option;
+  pinned_wall : bool;  (* see [Recorder.fixed_wall] *)
+  checks : Obs.Gate.check list;
+}
+
+let gates =
+  let timing = Obs.Gate.(Rel tolerance) in
+  (* segment shares are fractions of 1: absolute *)
+  let shares point =
+    List.map
+      (fun c ->
+        ( [ point; "verdict"; "shares"; Obs.Span.component_name c ],
+          Obs.Gate.Abs 0.10 ))
+      Obs.Span.all_components
   in
-  let tol =
-    match tolerance with
-    | None -> 0.15
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some t when t >= 0. -> t
-        | _ ->
-            Printf.eprintf "--tolerance wants a non-negative float, got %S\n" s;
-            exit 2)
-  in
-  let budget =
-    match budget with
-    | None -> 240.
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some b when b > 0. -> b
-        | _ ->
-            Printf.eprintf "--budget wants a positive float (seconds), got %S\n"
-              s;
-            exit 2)
-  in
+  [
+    {
+      target = "smoke";
+      command = "regress";
+      baseline = "bench/baselines/BENCH_smoke.json";
+      run = (fun ~smoke:_ -> smoke ());
+      budget = None;
+      pinned_wall = false;
+      checks =
+        Obs.Gate.[
+          ([ "throughput" ], timing) (* tput records *);
+          ([ "latency"; "mean" ], timing);
+          ([ "throughput"; "throughput" ], timing) (* profile records *);
+          ([ "throughput"; "latency"; "mean" ], timing);
+          ([ "commit_latency"; "mean" ], timing);
+          ([ "msgs_per_block" ], Rel 0.01);
+          ([ "auths_per_block" ], Rel 0.01);
+          (* a protocol gaining or losing a phase on its critical path *)
+          ([ "phase_breakdown"; "quorum_waits_per_commit" ], Rel 1e-6);
+          (* the decomposition must stay exact, whatever the baseline says *)
+          ([ "phase_breakdown"; "max_attribution_error" ], At_most 1e-9);
+          ([ "vc_latency" ], timing);
+          ([ "vc_messages" ], Rel 0.01);
+          ([ "vc_bytes" ], Rel 0.05);
+          ([ "recovery_latency" ], timing) (* fault records *);
+          ([ "vc_authenticators" ], Rel 0.01);
+        ];
+    };
+    {
+      target = "scaling";
+      command = "scaling-regress";
+      baseline = "bench/baselines/BENCH_scaling.json";
+      run = (fun ~smoke -> scaling ~smoke ());
+      budget = Some 120.;
+      pinned_wall = false;
+      checks =
+        Obs.Gate.[
+          ([ "blocks" ], timing);
+          ([ "happy_msgs" ], Rel 0.01);
+          ([ "happy_auths" ], Rel 0.01);
+          ([ "msgs_per_block" ], Rel 0.02);
+          ([ "auths_per_block" ], Rel 0.02);
+          ([ "vc_msgs" ], Rel 0.02);
+          ([ "vc_auths" ], Rel 0.02);
+          ([ "vc_latency" ], timing);
+          ([ "throughput" ], timing);
+          ([ "latency_mean" ], timing);
+          ([ "peak_events" ], Rel 0.10);
+        ];
+    };
+    {
+      target = "load";
+      command = "load-regress";
+      baseline = "bench/baselines/BENCH_load.json";
+      run = (fun ~smoke -> load ~smoke ());
+      budget = Some 120.;
+      pinned_wall = true;
+      checks =
+        (* the offered rate is an input, arrival counts follow from the
+           seed; knee records nest their point *)
+        Obs.Gate.[
+          ([ "offered" ], Rel 1e-6);
+          ([ "generated" ], Rel 0.01);
+          ([ "goodput" ], timing);
+          ([ "drop_rate" ], Rel 0.02);
+          ([ "latency"; "p99" ], timing);
+          ([ "peak_occupancy" ], Rel 0.10);
+          ([ "point"; "offered" ], Rel 1e-6);
+          ([ "point"; "goodput" ], timing);
+          ([ "point"; "latency"; "p99" ], timing);
+        ];
+    };
+    {
+      target = "attribution";
+      command = "attribution-regress";
+      baseline = "bench/baselines/BENCH_attribution.json";
+      run = (fun ~smoke -> attribution ~smoke ());
+      budget = Some 240.;
+      pinned_wall = true;
+      checks =
+        Obs.Gate.[
+          ([ "verdict" ], Exact);
+          ([ "at_knee"; "verdict"; "bottleneck" ], Exact);
+          ([ "past_knee"; "verdict"; "bottleneck" ], Exact);
+          ([ "n" ], Rel 1e-9);
+          ([ "knee"; "offered" ], Rel 1e-6);
+          ([ "knee"; "goodput" ], timing);
+          ([ "at_knee"; "point"; "goodput" ], timing);
+          ([ "at_knee"; "verdict"; "drop_rate" ], Rel 0.05);
+          ([ "past_knee"; "point"; "goodput" ], timing);
+          ([ "past_knee"; "verdict"; "drop_rate" ], Rel 0.05);
+          ([ "past_knee"; "verdict"; "latency_p99" ], timing);
+        ]
+        @ shares "at_knee" @ shares "past_knee";
+    };
+  ]
+
+let enter g =
+  Recorder.set_target g.target;
+  if g.pinned_wall then Recorder.fixed_wall := true
+
+let read_all path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Runs one gate; returns its number of violations. The fresh records keep
+   the gated target, so a --json of a gate run is itself a re-blessed
+   baseline. *)
+let run_gate ~baseline g =
+  let module Gate = Obs.Gate in
+  let path = Option.value baseline ~default:g.baseline in
+  enter g;
   section
-    (Printf.sprintf
-       "Attribution regression gate: fresh smoke sweep vs %s (tolerance \
-        %.0f%%, budget %.0f s)"
-       path (100. *. tol) budget);
-  let text =
-    try read_all path
-    with Sys_error e ->
-      Printf.eprintf
-        "cannot read baseline: %s\n\
-         (record one with: bench/main.exe -- attribution --smoke --json %s)\n"
-        e path;
-      exit 2
-  in
-  let doc =
-    match J.parse text with
-    | Ok d -> d
+    (Printf.sprintf "Regression gate: fresh %s run vs %s (tolerance %.0f%%%s)"
+       g.target path (100. *. Gate.tolerance)
+       (match g.budget with
+       | Some b -> Printf.sprintf ", budget %.0f s" b
+       | None -> ""));
+  let expected =
+    match Gate.load ~target:g.target (read_all path) with
+    | Ok records -> records
     | Error e ->
         Printf.eprintf "%s: %s\n" path e;
         exit 2
+    | exception Sys_error e ->
+        Printf.eprintf
+          "cannot read baseline: %s\n\
+           (record one with: bench/main.exe -- %s --smoke --json %s)\n"
+          e g.target path;
+        exit 2
   in
-  (match J.string_at [ "schema" ] doc with
-  | Some s when s = Recorder.schema -> ()
-  | _ ->
-      Printf.eprintf "%s: not a %S document\n" path Recorder.schema;
-      exit 2);
-  let baseline_records =
-    match Option.bind (J.member "records" doc) J.to_list with
-    | Some l ->
-        List.filter_map
-          (fun r ->
-            match (J.string_at [ "target" ] r, J.string_at [ "label" ] r) with
-            | Some "attribution", Some label ->
-                Option.map (fun d -> (label, d)) (J.member "data" r)
-            | _ -> None)
-          l
-    | None -> []
-  in
-  if baseline_records = [] then begin
-    Printf.eprintf "%s: no attribution records to compare against\n" path;
-    exit 2
-  end;
+  let mark = Recorder.count () in
   let t0 = Unix.gettimeofday () in
-  let fresh = attribution ~smoke:true () in
+  g.run ~smoke:true;
   let wall = Unix.gettimeofday () -. t0 in
-  let fresh_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (label, data) ->
-      match J.parse data with
-      | Ok d -> Hashtbl.replace fresh_tbl label d
-      | Error _ -> ())
-    fresh;
-  (* verdicts are typed behaviour: exact. Shares/goodput/latency: timing *)
-  let share_checks point =
-    List.map
-      (fun comp ->
-        ( [ point; "verdict"; "shares"; Obs.Span.component_name comp ],
-          0.10 ))
-      Obs.Span.all_components
+  let r = Gate.diff g.checks ~baseline:expected ~fresh:(Recorder.since mark) in
+  let budget_note, violations =
+    match g.budget with
+    | None -> ("", r.Gate.violations)
+    | Some b ->
+        ( Printf.sprintf "%.1f s of %.0f s budget, " wall b,
+          r.Gate.violations
+          @
+          if wall > b then
+            [
+              Printf.sprintf
+                "wall-time budget: fresh run took %.1f s, budget %.1f s (the \
+                 simulator got slower)"
+                wall b;
+            ]
+          else [] )
   in
-  let float_checks =
-    [
-      ([ "n" ], 1e-9);
-      ([ "knee"; "offered" ], 1e-6);
-      ([ "knee"; "goodput" ], tol);
-      ([ "at_knee"; "point"; "goodput" ], tol);
-      ([ "at_knee"; "verdict"; "drop_rate" ], 0.05);
-      ([ "past_knee"; "point"; "goodput" ], tol);
-      ([ "past_knee"; "verdict"; "drop_rate" ], 0.05);
-      ([ "past_knee"; "verdict"; "latency_p99" ], tol);
-    ]
-    @ share_checks "at_knee" @ share_checks "past_knee"
-  in
-  let string_checks =
-    [
-      [ "verdict" ];
-      [ "at_knee"; "verdict"; "bottleneck" ];
-      [ "past_knee"; "verdict"; "bottleneck" ];
-    ]
-  in
-  let checked = ref 0 and failures = ref 0 in
   Printf.printf "\n";
-  List.iter
-    (fun (label, bdata) ->
-      match Hashtbl.find_opt fresh_tbl label with
-      | None ->
-          incr failures;
-          Printf.printf "  FAIL %-28s missing from the fresh sweep\n" label
-      | Some fdata ->
-          List.iter
-            (fun spath ->
-              let name = String.concat "." spath in
-              match J.string_at spath bdata with
-              | None -> ()
-              | Some b -> (
-                  match J.string_at spath fdata with
-                  | Some f when f = b -> incr checked
-                  | Some f ->
-                      incr failures;
-                      Printf.printf
-                        "  FAIL %-28s %-28s baseline %S fresh %S (verdicts \
-                         are exact)\n"
-                        label name b f
-                  | None ->
-                      incr failures;
-                      Printf.printf "  FAIL %-28s %-28s missing in fresh run\n"
-                        label name))
-            string_checks;
-          List.iter
-            (fun (fpath, ctol) ->
-              match J.float_at fpath bdata with
-              | None -> ()
-              | Some b -> (
-                  let name = String.concat "." fpath in
-                  match J.float_at fpath fdata with
-                  | None ->
-                      incr failures;
-                      Printf.printf "  FAIL %-28s %-28s missing in fresh run\n"
-                        label name
-                  | Some f ->
-                      incr checked;
-                      (* shares are fractions of 1: absolute tolerance; the
-                         rest relative, scaled as load-regress does *)
-                      let scale =
-                        if List.exists (fun seg -> seg = "shares") fpath then 1.
-                        else Float.max (Float.abs b) 1e-9
-                      in
-                      if Float.abs (f -. b) > (ctol *. scale) +. 1e-12
-                      then begin
-                        incr failures;
-                        Printf.printf
-                          "  FAIL %-28s %-28s baseline %-12.6g fresh %-12.6g \
-                           (%+.1f%%, tolerance %.1f%%)\n"
-                          label name b f
-                          (100. *. (f -. b) /. scale)
-                          (100. *. ctol)
-                      end))
-            float_checks)
-    baseline_records;
-  if wall > budget then begin
-    incr failures;
-    Printf.printf
-      "  FAIL wall-time budget: fresh sweep took %.1f s, budget %.1f s (the \
-       attribution path got slower)\n"
-      wall budget
-  end;
-  Printf.printf
-    "attribution-regress: %d records, %d metrics checked, %.1f s of %.0f s \
-     budget, %d violation%s -> %s\n"
-    (List.length baseline_records)
-    !checked wall budget !failures
-    (if !failures = 1 then "" else "s")
-    (if !failures = 0 then "PASS" else "FAIL");
-  !failures
+  List.iter (Printf.printf "  FAIL %s\n") violations;
+  let failures = List.length violations in
+  Printf.printf "%s: %d records, %d metrics checked, %s%d violation%s -> %s\n"
+    g.command r.Gate.records r.Gate.checked budget_note failures
+    (if failures = 1 then "" else "s")
+    (if failures = 0 then "PASS" else "FAIL");
+  failures
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -1818,96 +1367,73 @@ let () =
   let metrics_file, args = take_opt "--metrics-out" args in
   let json_file, args = take_opt "--json" args in
   let baseline, args = take_opt "--baseline" args in
-  let tolerance, args = take_opt "--tolerance" args in
-  let budget, args = take_opt "--budget" args in
   let t0 = Unix.gettimeofday () in
-  (* regress reports its violations after the json is flushed *)
-  let regress_failures = ref 0 in
+  (* gates report their violations after the json is flushed *)
+  let gate_failures = ref 0 in
+  (* the paper's tables and figures: what [all] runs, in this order *)
+  let paper =
+    [
+      ("table1", fun () -> table1 ~full);
+      ("fig10a", fun () -> tput_latency_figure ~full ~fig:"10a" 1);
+      ("fig10b", fun () -> tput_latency_figure ~full ~fig:"10b" 2);
+      ("fig10c", fun () -> tput_latency_figure ~full ~fig:"10c" 5);
+      ("fig10d", fun () -> tput_latency_figure ~full ~fig:"10d" 10);
+      ("fig10e", fun () -> tput_latency_figure ~full ~fig:"10e" 20);
+      ("fig10f", fun () -> tput_latency_figure ~full ~fig:"10f" 30);
+      ("fig10g", fig10g ~full);
+      ("fig10h", fig10h ~full);
+      ("fig10i", fig10i ~full);
+      ("fig10j", fig10j ~full);
+      ("related-work", related_work ~full);
+      ("faults", faults ~full);
+      ("ablate-sigs", ablate_sigs ~full);
+      ("ablate-shadow", ablate_shadow);
+      ("ablate-batch", ablate_batch ~full);
+      ("fig2-demo", Bench_demo.run);
+      ("micro", Bench_micro.run);
+    ]
+  in
+  let targets =
+    paper
+    @ [
+        ("observe", observe ~full ~trace_file ~metrics_file);
+        ("spans", spans ~trace_file ~windows:windows_flag);
+      ]
+    @ List.concat_map
+        (fun g ->
+          [
+            ( g.target,
+              fun () ->
+                enter g;
+                g.run ~smoke:smoke_flag );
+            ( g.command,
+              fun () ->
+                gate_failures := !gate_failures + run_gate ~baseline g );
+          ])
+        gates
+  in
   let dispatch name =
     Recorder.set_target name;
-    match name with
-    | "table1" -> table1 ~full
-    | "fig10a" -> tput_latency_figure ~full ~fig:"10a" 1
-    | "fig10b" -> tput_latency_figure ~full ~fig:"10b" 2
-    | "fig10c" -> tput_latency_figure ~full ~fig:"10c" 5
-    | "fig10d" -> tput_latency_figure ~full ~fig:"10d" 10
-    | "fig10e" -> tput_latency_figure ~full ~fig:"10e" 20
-    | "fig10f" -> tput_latency_figure ~full ~fig:"10f" 30
-    | "fig10g" -> fig10g ~full ()
-    | "fig10h" -> fig10h ~full ()
-    | "fig10i" -> fig10i ~full ()
-    | "fig10j" -> fig10j ~full ()
-    | "related-work" -> related_work ~full ()
-    | "faults" -> faults ~full ()
-    | "ablate-sigs" -> ablate_sigs ~full ()
-    | "ablate-shadow" -> ablate_shadow ()
-    | "ablate-batch" -> ablate_batch ~full ()
-    | "fig2-demo" -> Bench_demo.run ()
-    | "micro" -> Bench_micro.run ()
-    | "observe" -> observe ~full ~trace_file ~metrics_file ()
-    | "smoke" ->
-        Recorder.set_target "smoke";
-        ignore (smoke () : (string * string) list)
-    | "spans" -> spans ~trace_file ~windows:windows_flag ()
-    | "regress" ->
-        Recorder.set_target "smoke";
-        (* the fresh records keep the smoke target so a --json of this
-           run can itself serve as a re-blessed baseline *)
-        regress_failures := !regress_failures + regress ~baseline ~tolerance ()
-    | "scaling" ->
-        ignore (scaling ~smoke:smoke_flag () : (string * string) list)
-    | "scaling-regress" ->
-        Recorder.set_target "scaling";
-        (* as with regress: a --json of this run is a re-blessed baseline *)
-        regress_failures :=
-          !regress_failures + scaling_regress ~baseline ~tolerance ~budget ()
-    | "load" ->
-        Recorder.fixed_wall := true;
-        ignore (load ~smoke:smoke_flag () : (string * string) list)
-    | "load-regress" ->
-        Recorder.set_target "load";
-        Recorder.fixed_wall := true;
-        (* as with regress: a --json of this run is a re-blessed baseline *)
-        regress_failures :=
-          !regress_failures + load_regress ~baseline ~tolerance ~budget ()
-    | "attribution" ->
-        Recorder.fixed_wall := true;
-        ignore (attribution ~smoke:smoke_flag () : (string * string) list)
-    | "attribution-regress" ->
-        Recorder.set_target "attribution";
-        Recorder.fixed_wall := true;
-        (* as with regress: a --json of this run is a re-blessed baseline *)
-        regress_failures :=
-          !regress_failures
-          + attribution_regress ~baseline ~tolerance ~budget ()
-    | other ->
+    match List.assoc_opt name targets with
+    | Some run -> run ()
+    | None ->
         Printf.eprintf
-          "unknown target %S (try: table1 fig10a..fig10f fig10g fig10h \
-           fig10i fig10j related-work faults ablate-sigs ablate-shadow \
-           ablate-batch fig2-demo micro observe smoke spans regress scaling \
-           scaling-regress load load-regress attribution \
-           attribution-regress all; observe takes --trace FILE and \
+          "unknown target %S (try: %s all; observe takes --trace FILE and \
            --metrics-out FILE, spans reads --trace FILE and optionally \
-           --windows WIDTH, regress takes --baseline FILE and \
-           --tolerance X, scaling, load and attribution take --smoke, \
-           scaling-regress, load-regress and attribution-regress add \
-           --budget SECONDS, any run takes --json FILE)\n"
-          other;
+           --windows WIDTH, the gates (%s) take --baseline FILE, the gated \
+           targets take --smoke, any run takes --json FILE)\n"
+          name
+          (String.concat " " (List.map fst targets))
+          (String.concat " " (List.map (fun g -> g.command) gates));
         exit 2
   in
   (match args with
   | [] when trace_file <> None || metrics_file <> None -> dispatch "observe"
-  | [] | [ "all" ] ->
-      List.iter dispatch
-        [
-          "table1"; "fig10a"; "fig10b"; "fig10c"; "fig10d"; "fig10e"; "fig10f";
-          "fig10g"; "fig10h"; "fig10i"; "fig10j"; "related-work"; "faults";
-          "ablate-sigs"; "ablate-shadow"; "ablate-batch"; "fig2-demo"; "micro";
-        ]
+  | [] | [ "all" ] -> List.iter (fun (name, _) -> dispatch name) paper
   | targets -> List.iter dispatch targets);
   (match json_file with
   | Some path ->
       Recorder.write ~path ~wall_seconds:(Unix.gettimeofday () -. t0)
   | None -> ());
   Printf.printf "\n[bench completed in %.1f s]\n" (Unix.gettimeofday () -. t0);
-  if !regress_failures > 0 then exit 1
+  if !gate_failures > 0 then exit 1

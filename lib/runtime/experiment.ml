@@ -199,11 +199,16 @@ type open_loop_result = Result.open_loop = {
   agreement : bool;
 }
 
-let run_throughput (module P : C.PROTOCOL) ~params ~warmup ~duration =
+let run_with_crashes (module P : C.PROTOCOL) ~params ~crashed ~warmup ~duration =
   let module Cl = Cluster.Make (P) in
   let t = Cl.create params in
+  List.iter (fun id -> Cl.crash t ~at:0.0 id) crashed;
   Cl.run t ~until:(warmup +. duration);
-  let probe = params.Cluster.n - 1 in
+  let probe =
+    (* a live replica with a high id (low ids answer clients) *)
+    let rec find id = if List.mem id crashed then find (id - 1) else id in
+    find (params.Cluster.n - 1)
+  in
   let executed =
     Cl.committed_ops_in t ~replica:probe ~since:warmup ~until:(warmup +. duration)
   in
@@ -215,6 +220,9 @@ let run_throughput (module P : C.PROTOCOL) ~params ~warmup ~duration =
     agreement = Cl.check_agreement t;
     executed;
   }
+
+let run_throughput proto ~params ~warmup ~duration =
+  run_with_crashes proto ~params ~crashed:[] ~warmup ~duration
 
 let run_instrumented (module P : C.PROTOCOL) ~params ~warmup ~duration
     ?(trace = false) () =
@@ -470,6 +478,25 @@ let attribution_to_json a =
         (attributed_point_to_json ~windows:true a.past_knee);
     ]
 
+(* Meter consensus traffic with timestamps: installs [net]'s send hook and
+   returns [window], which sums (bytes, authenticators, messages) sent in
+   [start, stop] once the run is over. *)
+let consensus_meter net sim =
+  let events = ref [] in
+  Netsim.on_send net
+    (Some
+       (fun ~src:_ ~dst:_ ~size m ->
+         if Obs.Metrics.is_consensus_message m then
+           events :=
+             (Sim.now sim, size, Marlin_types.Message.authenticators m)
+             :: !events));
+  fun ~start ~stop ->
+    List.fold_left
+      (fun (b, a, m) (time, size, auths) ->
+        if time >= start && time <= stop then (b + size, a + auths, m + 1)
+        else (b, a, m))
+      (0, 0, 0) !events
+
 let run_view_change (module P : C.PROTOCOL) ~params ~force_unhappy =
   let module Cl = Cluster.Make (P) in
   let t = Cl.create params in
@@ -478,16 +505,9 @@ let run_view_change (module P : C.PROTOCOL) ~params ~force_unhappy =
   let warm = 2.0 in
   let divergence_window = 0.3 in
   let crash_at = if force_unhappy then warm +. divergence_window else warm in
-  (* Record consensus traffic with timestamps; the view-change window
-     [vc_start, first_commit] is summed after the run. *)
-  let events = ref [] in
-  Netsim.on_send net
-    (Some
-       (fun ~src:_ ~dst:_ ~size m ->
-         if Marlin_obs.Metrics.is_consensus_message m then
-           events :=
-             (Sim.now sim, size, Marlin_types.Message.authenticators m)
-             :: !events));
+  (* the view-change window [vc_start, first_commit] is summed after the
+     run *)
+  let window = consensus_meter net sim in
   if force_unhappy then
     (* Divergence without timer skew: during the window the doomed
        leader's proposals reach only replica 1. Replica 1 votes for one
@@ -519,14 +539,7 @@ let run_view_change (module P : C.PROTOCOL) ~params ~force_unhappy =
     | Some time -> time
     | None -> infinity
   in
-  let vc_bytes, vc_auths, vc_msgs =
-    List.fold_left
-      (fun (b, a, m) (time, size, auths) ->
-        if time >= vc_start && time <= first_commit then
-          (b + size, a + auths, m + 1)
-        else (b, a, m))
-      (0, 0, 0) !events
-  in
+  let vc_bytes, vc_auths, vc_msgs = window ~start:vc_start ~stop:first_commit in
   {
     vc_latency = first_commit -. vc_start;
     unhappy = Cl.pre_prepare_seen t;
@@ -558,16 +571,7 @@ let run_scenario ?params ?obs (module P : C.PROTOCOL)
   let module W = (val proto) in
   let module Cl = Cluster.Make (W) in
   let t = Cl.create params in
-  let sim = Cl.sim t in
-  (* meter consensus traffic with timestamps, as run_view_change does *)
-  let events = ref [] in
-  Netsim.on_send (Cl.net t)
-    (Some
-       (fun ~src:_ ~dst:_ ~size m ->
-         if Marlin_obs.Metrics.is_consensus_message m then
-           events :=
-             (Sim.now sim, size, Marlin_types.Message.authenticators m)
-             :: !events));
+  let window = consensus_meter (Cl.net t) (Cl.sim t) in
   Cl.apply_scenario t sc ~on_byzantine:(fun id b -> Hashtbl.replace plan id b);
   Cl.run t ~until:sc.Faults.Scenario.run_for;
   (* probe: the highest-id replica that is neither dead at the end nor
@@ -585,17 +589,10 @@ let run_scenario ?params ?obs (module P : C.PROTOCOL)
   let settle = sc.Faults.Scenario.settle_at in
   let first_commit = Cl.first_commit_after t ~replica:probe settle in
   (* view-change traffic: first disruption to the recovery commit *)
-  let window_start = Faults.Scenario.first_fault_at sc in
-  let window_end =
-    Option.value first_commit ~default:sc.Faults.Scenario.run_for
-  in
   let vc_bytes, vc_auths, vc_msgs =
-    List.fold_left
-      (fun (b, a, m) (time, size, auths) ->
-        if time >= window_start && time <= window_end then
-          (b + size, a + auths, m + 1)
-        else (b, a, m))
-      (0, 0, 0) !events
+    window
+      ~start:(Faults.Scenario.first_fault_at sc)
+      ~stop:(Option.value first_commit ~default:sc.Faults.Scenario.run_for)
   in
   {
     scenario = sc.Faults.Scenario.name;
@@ -610,26 +607,4 @@ let run_scenario ?params ?obs (module P : C.PROTOCOL)
     latency =
       Stats.summarize
         (Cl.latencies_in t ~since:0. ~until:sc.Faults.Scenario.run_for);
-  }
-
-let run_with_crashes (module P : C.PROTOCOL) ~params ~crashed ~warmup ~duration =
-  let module Cl = Cluster.Make (P) in
-  let t = Cl.create params in
-  List.iter (fun id -> Cl.crash t ~at:0.0 id) crashed;
-  Cl.run t ~until:(warmup +. duration);
-  let probe =
-    (* a live replica with a high id (low ids answer clients) *)
-    let rec find id = if List.mem id crashed then find (id - 1) else id in
-    find (params.Cluster.n - 1)
-  in
-  let executed =
-    Cl.committed_ops_in t ~replica:probe ~since:warmup ~until:(warmup +. duration)
-  in
-  {
-    clients = Workload.closed_clients params.Cluster.workload;
-    throughput = float_of_int executed /. duration;
-    latency =
-      Stats.summarize (Cl.latencies_in t ~since:warmup ~until:(warmup +. duration));
-    agreement = Cl.check_agreement t;
-    executed;
   }

@@ -29,7 +29,6 @@ module Make (P : C.PROTOCOL) = struct
   type t = {
     nodes : node array;
     keychain : Marlin_crypto.Keychain.t;
-    mutable commits : (int * Block.t) list; (* (replica, block), in order *)
     mutable transform : src:int -> dst:int -> Message.t -> Message.t option;
         (* None drops the message; Some replaces it (Byzantine forgery). *)
     mutable trace : (int * int * Message.t) list; (* (src, dst, m), newest first *)
@@ -43,7 +42,6 @@ module Make (P : C.PROTOCOL) = struct
       {
         nodes = [||];
         keychain;
-        commits = [];
         transform = (fun ~src:_ ~dst:_ m -> Some m);
         trace = [];
       }
@@ -110,7 +108,6 @@ module Make (P : C.PROTOCOL) = struct
               (fun node -> if node.id <> id then enqueue t ~src:id ~dst:node.id msg)
               t.nodes
         | C.Commit blocks ->
-            t.commits <- t.commits @ List.map (fun b -> (id, b)) blocks;
             (* Committed operations leave this replica's mempool (the
                runtime's dedup; without it has_pending never clears). *)
             let committed_keys =

@@ -17,29 +17,15 @@
 # (The alias runs themselves use the null clock so their JSON stays
 # byte-identical run to run.)
 #
-# The smoke run includes a deterministic fault scenario (leader crash),
-# so the gate also covers recovery latency and view-change
-# message/authenticator counts from the marlin_faults subsystem.
-#
-# The scaling gate (`dune build @bench-scaling`) sweeps every registry
-# protocol over n up to 64 and diffs message/authenticator counts, peak
-# event-queue occupancy and wall time against its own baseline, so a
-# broadcast fan-out or event-queue regression fails CI even when the
-# small-n smoke numbers are unchanged.
-#
-# The load gate (`dune build @bench-load`) sweeps open-loop offered load
-# (Poisson arrivals, 1M client keys) over the bounded mempool for every
-# registry protocol at n in {4, 32}, and diffs goodput, drop accounting
-# and tail latency against its baseline — deterministic counts exact,
-# timing within tolerance, the sweep under a wall budget.
-#
-# The attribution gate (`dune build @bench-attribution`) locates each
-# protocol's saturation knee, re-runs traced at and past it with
-# windowed timeseries attached, and diffs the bottleneck verdicts
-# (which resource binds first: cpu / serialize / nic-queue / propagate /
-# quorum-wait / mempool-backpressure), knee rates and segment shares
-# against its baseline — so a change that silently moves a protocol's
-# binding resource fails CI.
+# The four bench gates (@bench-smoke, @bench-scaling, @bench-load,
+# @bench-attribution) share one runner: the `gates` table in
+# bench/main.ml lists each target's baseline, wall budget and check list
+# (which metrics are exact, which get a fixed bound, which get the 15%
+# timing tolerance), and Marlin_obs.Gate does the comparison. Smoke
+# covers the traced profiles, view changes and a leader-crash fault;
+# scaling the n-sweep up to 64; load the open-loop offered-load sweep;
+# attribution the bottleneck verdicts at each protocol's knee.
+# @bench-smoke also checks that the gate fails on a perturbed baseline.
 #
 # To re-bless the baselines after an intentional performance change:
 #   dune exec bench/main.exe -- smoke --json bench/baselines/BENCH_smoke.json
