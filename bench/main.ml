@@ -15,6 +15,7 @@ module C = Marlin_core.Consensus_intf
 module Cluster = Marlin_runtime.Cluster
 module Mempool = Marlin_runtime.Mempool
 module Experiment = Marlin_runtime.Experiment
+module R = Experiment.Result
 module Stats = Marlin_analysis.Stats
 module Complexity = Marlin_analysis.Complexity
 module Workload = Marlin_workload.Workload
@@ -81,6 +82,7 @@ end
 
 module Registry = Marlin_runtime.Registry
 module Faults = Marlin_faults
+module Catalogue = Marlin_faults.Catalogue
 
 let marlin = Registry.find_exn "chained-marlin"
 let hotstuff = Registry.find_exn "chained-hotstuff"
@@ -90,6 +92,11 @@ let pbft = Registry.find_exn "pbft"
 let twophase_insecure = Registry.find_exn "twophase-insecure"
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
+
+(* Figure 10i's crash-the-leader view change (the vc fields of the result) *)
+let view_change proto ~params ~unhappy =
+  Experiment.run proto ~params ~warmup:0.
+    (Catalogue.view_change ~unhappy ~base_timeout:params.Cluster.base_timeout)
 
 let bench_params ?(clients = 16) f =
   let n = (3 * f) + 1 in
@@ -142,16 +149,13 @@ let table1 ~full =
   List.iter
     (fun f ->
       List.iter
-        (fun (name, proto, force_unhappy) ->
-          let r =
-            Experiment.run_view_change proto ~params:(bench_params f) ~force_unhappy
-          in
+        (fun (name, proto, unhappy) ->
+          let r = view_change proto ~params:(bench_params f) ~unhappy in
           Printf.printf "%-22s %6d %12d %8d %8d\n" name ((3 * f) + 1)
-            r.Experiment.vc_bytes r.Experiment.vc_authenticators
-            r.Experiment.vc_messages;
+            r.R.vc_bytes r.R.vc_authenticators r.R.vc_messages;
           Recorder.add
             ~label:(Printf.sprintf "%s n=%d" name ((3 * f) + 1))
-            (Experiment.Result.view_change_to_json r))
+            (R.view_change_to_json r))
         [
           ("marlin (happy)", basic_marlin, false);
           ("marlin (unhappy)", basic_marlin, true);
@@ -192,22 +196,22 @@ let tput_latency_figure ~full ~fig f =
   List.iter
     (fun clients ->
       let run proto =
-        Experiment.run_throughput proto ~params:(bench_params ~clients f)
-          ~warmup ~duration
+        Experiment.run proto ~params:(bench_params ~clients f) ~warmup
+          (Catalogue.steady ~run_for:(warmup +. duration) ())
       in
       let m = run marlin and h = run hotstuff in
-      if not (m.Experiment.agreement && h.Experiment.agreement) then
+      if not (m.R.agreement && h.R.agreement) then
         Printf.printf "!! agreement violated\n";
       Printf.printf "%8d | %12.2f %8.0f | %12.2f %8.0f\n" clients
-        (m.Experiment.throughput /. 1000.)
-        (m.Experiment.latency.Stats.mean *. 1000.)
-        (h.Experiment.throughput /. 1000.)
-        (h.Experiment.latency.Stats.mean *. 1000.);
+        (m.R.throughput /. 1000.)
+        (m.R.latency.Stats.mean *. 1000.)
+        (h.R.throughput /. 1000.)
+        (h.R.latency.Stats.mean *. 1000.);
       List.iter
         (fun (name, r) ->
           Recorder.add
             ~label:(Printf.sprintf "%s f=%d clients=%d" name f clients)
-            (Experiment.Result.throughput_to_json r))
+            (R.throughput_to_json r))
         [ ("marlin", m); ("hotstuff", h) ])
     (sweep_clients ~full f)
 
@@ -217,8 +221,12 @@ let tput_latency_figure ~full ~fig f =
 
 let sweep_for ~full proto ~params f =
   let warmup, duration = durations ~full f in
-  Experiment.sweep proto ~params ~warmup ~duration
-    ~client_counts:(sweep_clients ~full f)
+  let steady = Catalogue.steady ~run_for:(warmup +. duration) () in
+  List.map
+    (fun clients ->
+      Experiment.run proto ~warmup steady
+        ~params:{ params with Cluster.workload = Workload.closed_loop ~clients })
+    (sweep_clients ~full f)
 
 (* The paper's throughput/latency figures plot latency up to ~1 s, and its
    peak-throughput bars read off the end of those curves. Protocols are
@@ -231,10 +239,8 @@ let peaks_at_common_point ~full ~params_m ~params_h f =
   let pairs = List.combine m h in
   let qualifying =
     List.filter
-      (fun ((rm : Experiment.throughput_result),
-            (rh : Experiment.throughput_result)) ->
-        rm.Experiment.latency.Stats.mean <= 1.0
-        && rh.Experiment.latency.Stats.mean <= 1.0)
+      (fun ((rm : R.t), (rh : R.t)) ->
+        rm.R.latency.Stats.mean <= 1.0 && rh.R.latency.Stats.mean <= 1.0)
       pairs
   in
   match List.rev qualifying with
@@ -252,13 +258,13 @@ let fig10g ~full () =
       let params = bench_params f in
       let m, h = peaks_at_common_point ~full ~params_m:params ~params_h:params f in
       Printf.printf "%4d | %12.2f %12.2f | %+7.1f%%\n" f
-        (m.Experiment.throughput /. 1000.)
-        (h.Experiment.throughput /. 1000.)
-        (((m.Experiment.throughput /. h.Experiment.throughput) -. 1.) *. 100.);
+        (m.R.throughput /. 1000.)
+        (h.R.throughput /. 1000.)
+        (((m.R.throughput /. h.R.throughput) -. 1.) *. 100.);
       List.iter
         (fun (name, r) ->
           Recorder.add ~label:(Printf.sprintf "%s peak f=%d" name f)
-            (Experiment.Result.throughput_to_json r))
+            (R.throughput_to_json r))
         [ ("marlin", m); ("hotstuff", h) ])
     fs
 
@@ -281,13 +287,13 @@ let fig10h ~full () =
           ~params_h:(bench_params f) f
       in
       Printf.printf "%4d | %12.2f %12.2f | %12.2f\n" f
-        (m.Experiment.throughput /. 1000.)
-        (h.Experiment.throughput /. 1000.)
-        (m150.Experiment.throughput /. 1000.);
+        (m.R.throughput /. 1000.)
+        (h.R.throughput /. 1000.)
+        (m150.R.throughput /. 1000.);
       List.iter
         (fun (name, r) ->
           Recorder.add ~label:(Printf.sprintf "%s noop peak f=%d" name f)
-            (Experiment.Result.throughput_to_json r))
+            (R.throughput_to_json r))
         [ ("marlin", m); ("hotstuff", h) ])
     [ 1; 2; 5 ]
 
@@ -303,27 +309,21 @@ let fig10i ~full () =
   List.iter
     (fun f ->
       let params = bench_params f in
-      let happy =
-        Experiment.run_view_change basic_marlin ~params ~force_unhappy:false
-      in
-      let unhappy =
-        Experiment.run_view_change basic_marlin ~params ~force_unhappy:true
-      in
-      let hs =
-        Experiment.run_view_change basic_hotstuff ~params ~force_unhappy:false
-      in
+      let happy = view_change basic_marlin ~params ~unhappy:false in
+      let unhappy = view_change basic_marlin ~params ~unhappy:true in
+      let hs = view_change basic_hotstuff ~params ~unhappy:false in
       let ms r =
-        if Float.is_finite r.Experiment.vc_latency then
+        if r.R.vc_latency < 0. then "stuck"
+        else
           Printf.sprintf "%.0f%s"
-            (r.Experiment.vc_latency *. 1000.)
-            (if r.Experiment.unhappy then "*" else "")
-        else "stuck"
+            (r.R.vc_latency *. 1000.)
+            (if r.R.unhappy then "*" else "")
       in
       Printf.printf "%4d | %14s %16s %12s\n" f (ms happy) (ms unhappy) (ms hs);
       List.iter
         (fun (name, r) ->
           Recorder.add ~label:(Printf.sprintf "%s f=%d" name f)
-            (Experiment.Result.view_change_to_json r))
+            (R.view_change_to_json r))
         [ ("marlin-happy", happy); ("marlin-unhappy", unhappy); ("hotstuff", hs) ])
     fs;
   Printf.printf "(* = the PRE-PREPARE phase ran, i.e. the unhappy path)\n"
@@ -353,19 +353,16 @@ let fig10j ~full () =
       (* crash high ids (the f+1 lowest answer clients), spread out so dead
          views do not cluster *)
       let crashed = match k with 0 -> [] | 1 -> [ 9 ] | _ -> [ 5; 7; 9 ] in
-      let m =
-        Experiment.run_with_crashes marlin ~params ~crashed ~warmup ~duration
-      in
-      let h =
-        Experiment.run_with_crashes hotstuff ~params ~crashed ~warmup ~duration
-      in
+      let sc = Catalogue.steady ~crashed ~run_for:(warmup +. duration) () in
+      let m = Experiment.run marlin ~params ~warmup sc in
+      let h = Experiment.run hotstuff ~params ~warmup sc in
       Printf.printf "%10d | %12.2f %12.2f\n" k
-        (m.Experiment.throughput /. 1000.)
-        (h.Experiment.throughput /. 1000.);
+        (m.R.throughput /. 1000.)
+        (h.R.throughput /. 1000.);
       List.iter
         (fun (name, r) ->
           Recorder.add ~label:(Printf.sprintf "%s crashed=%d" name k)
-            (Experiment.Result.throughput_to_json r))
+            (R.throughput_to_json r))
         [ ("marlin", m); ("hotstuff", h) ])
     [ 0; 1; 3 ]
 
@@ -438,16 +435,16 @@ let ablate_sigs ~full () =
                 "!! %s/%s: no sweep point under the 1 s cap; peak below is \
                  saturated, not sustainable\n"
                 name pname);
-          let vc = Experiment.run_view_change basic ~params ~force_unhappy:false in
+          let vc = view_change basic ~params ~unhappy:false in
           Printf.printf "%-12s %-14s | %12.2f %8.0f | %14.0f
 " name pname
-            (peak.Experiment.throughput /. 1000.)
-            (peak.Experiment.latency.Stats.mean *. 1000.)
-            (vc.Experiment.vc_latency *. 1000.);
+            (peak.R.throughput /. 1000.)
+            (peak.R.latency.Stats.mean *. 1000.)
+            (vc.R.vc_latency *. 1000.);
           Recorder.add ~label:(Printf.sprintf "%s %s peak" name pname)
-            (Experiment.Result.throughput_to_json peak);
+            (R.throughput_to_json peak);
           Recorder.add ~label:(Printf.sprintf "%s %s vc" name pname)
-            (Experiment.Result.view_change_to_json vc))
+            (R.view_change_to_json vc))
         [ ("marlin", marlin, basic_marlin); ("hotstuff", hotstuff, basic_hotstuff) ])
     [
       ("ecdsa-group", Marlin_crypto.Cost_model.ecdsa_group);
@@ -514,13 +511,16 @@ let ablate_batch ~full () =
   List.iter
     (fun batch_max ->
       let params = { (bench_params ~clients 1) with Cluster.batch_max } in
-      let r = Experiment.run_throughput marlin ~params ~warmup:1.0 ~duration:4.0 in
+      let r =
+        Experiment.run marlin ~params ~warmup:1.0
+          (Catalogue.steady ~run_for:5.0 ())
+      in
       Printf.printf "%10d | %12.2f %8.0f
 " batch_max
-        (r.Experiment.throughput /. 1000.)
-        (r.Experiment.latency.Stats.mean *. 1000.);
+        (r.R.throughput /. 1000.)
+        (r.R.latency.Stats.mean *. 1000.);
       Recorder.add ~label:(Printf.sprintf "batch=%d" batch_max)
-        (Experiment.Result.throughput_to_json r))
+        (R.throughput_to_json r))
     [ 125; 500; 2000; 8000 ]
 
 (* ------------------------------------------------------------------ *)
@@ -544,24 +544,23 @@ let faults ~full () =
       List.iter
         (fun pname ->
           let r =
-            Experiment.run_scenario
+            Experiment.run (Registry.find_exn pname) ~warmup:0. sc
               ~params:(bench_params sc.Faults.Scenario.f)
-              (Registry.find_exn pname) sc
           in
           Printf.printf "%-20s %-18s | %9s %6d %6d | %8.0f %6B\n"
             sc.Faults.Scenario.name pname
-            (if r.Experiment.recovered then
-               Printf.sprintf "%.0f" (r.Experiment.recovery_latency *. 1000.)
+            (if r.R.recovered then
+               Printf.sprintf "%.0f" (r.R.recovery_latency *. 1000.)
              else "stuck")
-            r.Experiment.vc_messages r.Experiment.vc_authenticators
-            (r.Experiment.latency.Stats.mean *. 1000.)
-            r.Experiment.agreement;
-          if not r.Experiment.agreement then
+            r.R.recovery_messages r.R.recovery_authenticators
+            (r.R.latency.Stats.mean *. 1000.)
+            r.R.agreement;
+          if not r.R.agreement then
             Printf.printf "!! agreement violated: %s under %s\n"
               sc.Faults.Scenario.name pname;
           Recorder.add
             ~label:(Printf.sprintf "%s/%s" sc.Faults.Scenario.name pname)
-            (Experiment.Result.fault_to_json r))
+            (R.fault_to_json r))
         protos)
     Faults.Catalogue.all
 
@@ -593,7 +592,10 @@ let observe ~full ~trace_file ~metrics_file () =
         let params =
           { (bench_params ~clients:1 1) with Cluster.obs = Some obs }
         in
-        let r = Experiment.run_throughput proto ~params ~warmup:1.0 ~duration in
+        let r =
+          Experiment.run proto ~params ~warmup:1.0
+            (Catalogue.steady ~run_for:(1.0 +. duration) ())
+        in
         (label, cproto, obs, r))
       [
         ("marlin", basic_marlin, Complexity.Marlin);
@@ -601,10 +603,10 @@ let observe ~full ~trace_file ~metrics_file () =
       ]
   in
   List.iter
-    (fun (label, cproto, obs, (r : Experiment.throughput_result)) ->
+    (fun (label, cproto, obs, (r : R.t)) ->
       let metrics = Obs.Run.metrics obs in
-      Printf.printf "\n%s: %.0f op/s, agreement %B\n" label
-        r.Experiment.throughput r.Experiment.agreement;
+      Printf.printf "\n%s: %.0f op/s, agreement %B\n" label r.R.throughput
+        r.R.agreement;
       Printf.printf "  %7s | %6s %10s %6s | %7s %4s %6s | %10s %8s\n" "replica"
         "msgs" "bytes" "auths" "blocks" "vcs" "timers" "commit ms" "p95 ms";
       Array.iter
@@ -674,10 +676,11 @@ let smoke () =
   section "Smoke: traced profile runs + one point per experiment family";
   List.iter
     (fun (label, proto) ->
-      let params = bench_params ~clients:1 1 in
-      let r, obs =
-        Experiment.run_instrumented proto ~params ~warmup:1.0 ~duration:3.0
-          ~trace:true ()
+      let obs = Obs.Run.create ~trace:true ~n:4 () in
+      let params = { (bench_params ~clients:1 1) with Cluster.obs = Some obs } in
+      let r =
+        Experiment.run proto ~params ~warmup:1.0
+          (Catalogue.steady ~run_for:4.0 ())
       in
       Format.printf "%a%!" Obs.Critical_path.pp
         (Experiment.critical_path ~label obs);
@@ -687,24 +690,20 @@ let smoke () =
   List.iter
     (fun (label, proto) ->
       let r =
-        Experiment.run_throughput proto ~params:(bench_params ~clients:512 1)
-          ~warmup:1.0 ~duration:3.0
+        Experiment.run proto ~params:(bench_params ~clients:512 1) ~warmup:1.0
+          (Catalogue.steady ~run_for:4.0 ())
       in
       Printf.printf "%s loaded point: %.0f op/s, agreement %B\n" label
-        r.Experiment.throughput r.Experiment.agreement;
-      Recorder.add ~label:(label ^ "/tput")
-        (Experiment.Result.throughput_to_json r))
+        r.R.throughput r.R.agreement;
+      Recorder.add ~label:(label ^ "/tput") (R.throughput_to_json r))
     [ ("marlin", marlin); ("hotstuff", hotstuff) ];
   List.iter
-    (fun (label, proto, force_unhappy) ->
-      let r =
-        Experiment.run_view_change proto ~params:(bench_params 1) ~force_unhappy
-      in
+    (fun (label, proto, unhappy) ->
+      let r = view_change proto ~params:(bench_params 1) ~unhappy in
       Printf.printf "%s view change: %.0f ms (%s)\n" label
-        (r.Experiment.vc_latency *. 1000.)
-        (if r.Experiment.unhappy then "unhappy" else "happy");
-      Recorder.add ~label:(label ^ "/vc")
-        (Experiment.Result.view_change_to_json r))
+        (r.R.vc_latency *. 1000.)
+        (if r.R.unhappy then "unhappy" else "happy");
+      Recorder.add ~label:(label ^ "/vc") (R.view_change_to_json r))
     [
       ("marlin", basic_marlin, false);
       ("marlin-unhappy", basic_marlin, true);
@@ -714,17 +713,15 @@ let smoke () =
      recovery latency and view-change traffic under the fault subsystem *)
   List.iter
     (fun (label, proto) ->
-      let sc = Faults.Catalogue.leader_crash ~phase:`Prepare () in
-      let r = Experiment.run_scenario ~params:(bench_params 1) proto sc in
+      let sc = Catalogue.leader_crash ~phase:`Prepare () in
+      let r = Experiment.run proto ~params:(bench_params 1) ~warmup:0. sc in
       Printf.printf "%s %s: %s, %d vc msgs, agreement %B\n" label
         sc.Faults.Scenario.name
-        (if r.Experiment.recovered then
-           Printf.sprintf "recovered in %.0f ms"
-             (r.Experiment.recovery_latency *. 1000.)
+        (if r.R.recovered then
+           Printf.sprintf "recovered in %.0f ms" (r.R.recovery_latency *. 1000.)
          else "NEVER RECOVERED")
-        r.Experiment.vc_messages r.Experiment.agreement;
-      Recorder.add ~label:(label ^ "/fault")
-        (Experiment.Result.fault_to_json r))
+        r.R.recovery_messages r.R.agreement;
+      Recorder.add ~label:(label ^ "/fault") (R.fault_to_json r))
     [ ("marlin", basic_marlin); ("hotstuff", basic_hotstuff) ]
 
 (* Post-hoc span analysis of a JSONL trace file (the output of
@@ -848,21 +845,22 @@ let scaling ~smoke () =
           (* happy-path window *)
           let obs = Obs.Run.create ~n () in
           let t = Cl.create { params with Cluster.obs = Some obs } in
-          let msgs = ref 0 and auths = ref 0 and bytes = ref 0 in
-          Marlin_sim.Netsim.on_send (Cl.net t)
-            (Some
-               (fun ~src:_ ~dst:_ ~size m ->
-                 if Obs.Metrics.is_consensus_message m then begin
-                   incr msgs;
-                   bytes := !bytes + size;
-                   auths := !auths + Marlin_types.Message.authenticators m
-                 end));
           let warm = 1.0 and dur = if smoke then 2.0 else 3.0 in
           Cl.run t ~until:(warm +. dur);
+          let metrics = Obs.Run.metrics obs in
           let blocks =
             Array.fold_left
               (fun acc reg -> max acc (Obs.Metrics.blocks_committed reg))
-              0 (Obs.Run.metrics obs)
+              0 metrics
+          in
+          let msgs, auths, bytes =
+            Array.fold_left
+              (fun (m, a, b) reg ->
+                let c = Obs.Metrics.consensus_sent reg in
+                ( m + c.Obs.Metrics.msgs,
+                  a + c.Obs.Metrics.auths,
+                  b + c.Obs.Metrics.bytes ))
+              (0, 0, 0) metrics
           in
           let executed =
             Cl.committed_ops_in t ~replica:0 ~since:warm ~until:(warm +. dur)
@@ -876,23 +874,14 @@ let scaling ~smoke () =
             float_of_int v /. float_of_int (max 1 blocks)
           in
           (* leader-crash view change, fresh cluster *)
-          let vc =
-            Experiment.run_view_change proto
-              ~params:{ params with Cluster.obs = None }
-              ~force_unhappy:false
-          in
-          let vc_latency =
-            if Float.is_finite vc.Experiment.vc_latency then
-              vc.Experiment.vc_latency
-            else -1. (* never recovered in the window (e.g. a livelock) *)
-          in
+          let vc = view_change proto ~params ~unhappy:false in
           let wall = Unix.gettimeofday () -. t0 in
           let throughput = float_of_int executed /. dur in
           Printf.printf
             "%-18s %5d %10.1f %12.2f %12.2f %9.0f %8d %8d %10d %8.2f\n%!" name
-            n throughput (per_block !msgs) (per_block !auths)
-            (vc_latency *. 1000.) vc.Experiment.vc_messages
-            vc.Experiment.vc_authenticators peak_events wall;
+            n throughput (per_block msgs) (per_block auths)
+            (vc.R.vc_latency *. 1000.) vc.R.vc_messages vc.R.vc_authenticators
+            peak_events wall;
           let label = Printf.sprintf "%s n=%d" name n in
           let data =
             Printf.sprintf
@@ -900,13 +889,12 @@ let scaling ~smoke () =
               n params.Cluster.f
               (Workload.closed_clients params.Cluster.workload)
               throughput
-              latency.Stats.mean blocks !msgs !auths !bytes (per_block !msgs)
-              (per_block !auths) vc_latency vc.Experiment.vc_messages
-              vc.Experiment.vc_authenticators vc.Experiment.vc_bytes
-              peak_events agreement wall
+              latency.Stats.mean blocks msgs auths bytes (per_block msgs)
+              (per_block auths) vc.R.vc_latency vc.R.vc_messages
+              vc.R.vc_authenticators vc.R.vc_bytes peak_events agreement wall
           in
           vc_auths :=
-            ((name, n), float_of_int vc.Experiment.vc_authenticators)
+            ((name, n), float_of_int vc.R.vc_authenticators)
             :: !vc_auths;
           Recorder.add ~label data)
         (List.filter (fun n -> n <= cap) ns))
@@ -998,31 +986,37 @@ let load ~smoke () =
             (Workload.label params.Cluster.workload);
           Printf.printf "%10s | %10s %8s %8s %9s | %8s %6s\n" "offered"
             "goodput" "drop %" "p99 ms" "p999 ms" "peak occ" "agree";
+          let steady = Catalogue.steady ~run_for:(warmup +. duration) () in
           let points =
-            Experiment.open_loop_sweep proto ~params ~warmup ~duration
-              ~rates:(load_rates ~smoke n)
+            List.map
+              (fun rate ->
+                Experiment.run proto ~warmup steady
+                  ~params:
+                    {
+                      params with
+                      Cluster.workload =
+                        Workload.with_rate params.Cluster.workload ~rate;
+                    })
+              (load_rates ~smoke n)
           in
           List.iter
-            (fun (r : Experiment.open_loop_result) ->
+            (fun (r : R.t) ->
               Printf.printf "%10.0f | %10.1f %8.2f %8.0f %9.0f | %8d %6B\n"
-                r.Experiment.offered r.Experiment.goodput
-                (100. *. r.Experiment.drop_rate)
-                (r.Experiment.latency.Stats.p99 *. 1000.)
-                (r.Experiment.latency.Stats.p999 *. 1000.)
-                r.Experiment.peak_occupancy r.Experiment.agreement;
-              if not r.Experiment.agreement then
+                r.R.offered r.R.goodput (100. *. r.R.drop_rate)
+                (r.R.latency.Stats.p99 *. 1000.)
+                (r.R.latency.Stats.p999 *. 1000.)
+                r.R.peak_occupancy r.R.agreement;
+              if not r.R.agreement then
                 Printf.printf "!! agreement violated\n";
               Recorder.add
-                ~label:
-                  (Printf.sprintf "%s n=%d rate=%.0f" name n
-                     r.Experiment.offered)
-                (Experiment.Result.open_loop_to_json r))
+                ~label:(Printf.sprintf "%s n=%d rate=%.0f" name n r.R.offered)
+                (R.open_loop_to_json r))
             points;
           let k, cap = Experiment.knee points in
           Printf.printf
             "knee: %.0f op/s sustainable at offered %.0f (p99 %.0f ms)%s\n"
-            k.Experiment.goodput k.Experiment.offered
-            (k.Experiment.latency.Stats.p99 *. 1000.)
+            k.R.goodput k.R.offered
+            (k.R.latency.Stats.p99 *. 1000.)
             (match cap with
             | `Within_cap -> ""
             | `Fallback -> "  !! every point blew the 1 s cap");
@@ -1030,7 +1024,7 @@ let load ~smoke () =
             ~label:(Printf.sprintf "%s n=%d knee" name n)
             (Printf.sprintf {|{"sustainable":%b,"point":%s}|}
                (cap = `Within_cap)
-               (Experiment.Result.open_loop_to_json k)))
+               (R.open_loop_to_json k)))
         load_ns)
     (* chained marlin/hotstuff first, under their PR 7 labels, so the
        records they produce stay byte-identical across the extension to
@@ -1113,7 +1107,7 @@ let attribution ~smoke () =
           check_window_invariant ~label
             a.Experiment.past_knee.Experiment.timeseries;
           Format.printf "%-22s knee=%7.0f op/s %s  at-knee %a@."
-            label a.Experiment.knee_point.Experiment.goodput
+            label a.Experiment.knee_point.R.goodput
             (if a.Experiment.sustainable then "   " else "(!)")
             Obs.Bottleneck.pp_verdict
             a.Experiment.at_knee.Experiment.verdict;
@@ -1138,7 +1132,7 @@ let attribution ~smoke () =
           ("-", 0.) v.Obs.Bottleneck.evidence.Obs.Bottleneck.shares
       in
       Printf.printf "%-22s | %10.0f %-5s | %-20s %s=%.0f%%\n" label
-        a.Experiment.knee_point.Experiment.goodput
+        a.Experiment.knee_point.R.goodput
         (if a.Experiment.sustainable then "yes" else "NO")
         (Obs.Bottleneck.name (Experiment.what_breaks_first a))
         (fst dominant)

@@ -82,6 +82,26 @@ let stale_qc_voter =
     ~steps:[ at 0. (Byzantine (2, Stale_qc_voter)); at warm (Crash 0) ]
     ~settle_at:warm ~run_for:12. ()
 
+let steady ?(crashed = []) ~run_for () =
+  make ~name:"steady"
+    ~info:"no fault, or the listed replicas crashed from the start"
+    ~steps:(List.map (fun id -> at 0. (Crash id)) crashed)
+    ~settle_at:0. ~run_for ()
+
+let view_change ~unhappy ~base_timeout =
+  let divergence = 0.3 in
+  let crash_at = if unhappy then warm +. divergence else warm in
+  make
+    ~name:(if unhappy then "view-change-unhappy" else "view-change")
+    ~info:"crash the view-0 leader; measure the view change"
+    ~steps:
+      ((if unhappy then [ at warm (Propose_only_to { leader = 0; dst = 1 }) ]
+        else [])
+      @ [ at crash_at (Crash 0) ])
+    ~settle_at:crash_at
+    ~run_for:(crash_at +. (4. *. base_timeout) +. 5.)
+    ()
+
 let all =
   [
     leader_crash ~phase:`Prepare ();

@@ -17,6 +17,20 @@ val silent_leader : Scenario.t
 val vote_withholder : Scenario.t
 val stale_qc_voter : Scenario.t
 
+val steady : ?crashed:int list -> run_for:float -> unit -> Scenario.t
+(** A run of [run_for] seconds with no fault, or with the [crashed]
+    replicas down from t = 0 (the rotating-leader runs of Figure 10j). *)
+
+val view_change : unhappy:bool -> base_timeout:float -> Scenario.t
+(** Figure 10i's crash-the-leader view change: warm up for 2 s, crash the
+    view-0 leader, and run for four [base_timeout]s plus 5 s more. With
+    [unhappy], the leader's proposals reach only replica 1 for the 0.3 s
+    before its crash. Replica 1 then votes for one more block than
+    everyone else, so the last-voted blocks diverge and the next leader's
+    snapshot cannot take the happy path. That block's QC never forms and
+    the blocks before it keep committing everywhere, so every replica's
+    view timer stays aligned. Not in {!all}. *)
+
 val all : Scenario.t list
 (** Every catalogue scenario at its default size, catalogue order. *)
 

@@ -14,6 +14,7 @@ type event =
   | Delay_links of float
   | Drop_fraction of float
   | Duplicate of float
+  | Propose_only_to of { leader : int; dst : int }
   | Byzantine of int * behaviour
 
 let event_label = function
@@ -29,10 +30,13 @@ let event_label = function
   | Delay_links d -> Printf.sprintf "delay-links %.3f" d
   | Drop_fraction p -> Printf.sprintf "drop-fraction %.2f" p
   | Duplicate p -> Printf.sprintf "duplicate %.2f" p
+  | Propose_only_to { leader; dst } ->
+      Printf.sprintf "propose-only-to %d->%d" leader dst
   | Byzantine (id, b) -> Printf.sprintf "byzantine %d %s" id (behaviour_label b)
 
 let event_target = function
   | Crash id | Recover id | Byzantine (id, _) -> id
+  | Propose_only_to { leader; _ } -> leader
   | Partition _ | Heal | Delay_links _ | Drop_fraction _ | Duplicate _ -> -1
 
 type step = { at : float; event : event }

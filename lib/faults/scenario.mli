@@ -4,8 +4,9 @@
     A scenario is pure data — this module knows nothing about the
     simulator. [Marlin_runtime.Cluster.apply_scenario] interprets the
     network and crash events against {!Marlin_sim.Netsim.Fault}, and
-    [Marlin_runtime.Experiment.run_scenario] additionally wraps the
-    protocol with {!Byzantine} behaviours and measures recovery. *)
+    [Marlin_runtime.Experiment.run] additionally wraps the protocol with
+    {!Byzantine} behaviours and measures the run, its recovery and its
+    view change. *)
 
 (** How a Byzantine replica misbehaves (see {!Byzantine}). *)
 type behaviour =
@@ -30,6 +31,11 @@ type event =
   | Delay_links of float  (** add seconds of propagation delay everywhere *)
   | Drop_fraction of float  (** drop each message with this probability *)
   | Duplicate of float  (** deliver each message twice with this probability *)
+  | Propose_only_to of { leader : int; dst : int }
+      (** from now on, [leader]'s PROPOSE messages reach only replica
+          [dst]; its other messages, and everyone else's, flow as before.
+          [Heal] does not lift it: the view-change scenario ends it by
+          crashing the leader, after which it has nothing left to drop *)
   | Byzantine of int * behaviour
       (** switch a replica's Byzantine behaviour on (requires the protocol
           to have been wrapped with {!Byzantine.wrap}); at time 0 the

@@ -669,7 +669,7 @@ module Make (P : C.PROTOCOL) = struct
       invalid_arg
         "Cluster.apply_scenario: scenario has Byzantine steps but no \
          ~on_byzantine handler (wrap the protocol with \
-         Marlin_faults.Byzantine.wrap, as Experiment.run_scenario does)";
+         Marlin_faults.Byzantine.wrap, as Experiment.run does)";
     let execute (step : Scenario.step) =
       (match t.params.obs with
       | None -> ()
@@ -685,6 +685,15 @@ module Make (P : C.PROTOCOL) = struct
       | Scenario.Delay_links extra -> Netsim.Fault.delay_links t.net ~extra
       | Scenario.Drop_fraction p -> Netsim.Fault.drop_fraction t.net ~p
       | Scenario.Duplicate p -> Netsim.Fault.duplicate t.net ~p
+      | Scenario.Propose_only_to { leader; dst } ->
+          Netsim.Fault.set_link_filter t.net
+            (Some
+               (fun ~src ~dst:receiver (m : Message.t) ->
+                 src <> leader || receiver = dst
+                 ||
+                 match m.Message.payload with
+                 | Message.Propose _ -> false
+                 | _ -> true))
       | Scenario.Byzantine (id, b) -> (
           match on_byzantine with Some f -> f id b | None -> ())
     in

@@ -89,11 +89,11 @@ module Make (P : Marlin_core.Consensus_intf.PROTOCOL) : sig
     Marlin_faults.Scenario.t ->
     unit
   (** Interpret a fault scenario against this cluster: crash/recover and
-      the network events map onto {!Marlin_sim.Netsim.Fault}; each step is
-      recorded as a [fault-injected] trace event when the cluster is
-      observed. [Byzantine] steps are handed to [on_byzantine] (the caller
-      must have wrapped the protocol with [Marlin_faults.Byzantine.wrap] —
-      see [Experiment.run_scenario]).
+      the network events map onto {!Marlin_sim.Netsim.Fault} ([Propose_only_to]
+      onto its link filter); each step is recorded as a [fault-injected]
+      trace event when the cluster is observed. [Byzantine] steps are
+      handed to [on_byzantine] (the caller must have wrapped the protocol
+      with [Marlin_faults.Byzantine.wrap] — see [Experiment.run]).
 
       Call before {!run}: steps at time 0 (or earlier) execute
       immediately so they are in force for the first protocol callback.

@@ -3,38 +3,20 @@ module Stats = Marlin_analysis.Stats
 module Netsim = Marlin_sim.Netsim
 module Sim = Marlin_sim.Sim
 module Workload = Marlin_workload.Workload
+module Faults = Marlin_faults
+module Scenario = Marlin_faults.Scenario
+module Obs = Marlin_obs
 
 module Result = struct
-  type throughput = {
-    clients : int;
-    throughput : float;
-    latency : Stats.summary;
-    agreement : bool;
-    executed : int;
-  }
-
-  type view_change = {
-    vc_latency : float;
-    unhappy : bool;
-    vc_bytes : int;
-    vc_authenticators : int;
-    vc_messages : int;
-  }
-
-  type fault = {
+  type t = {
     scenario : string;
-    recovered : bool;
-    recovery_latency : float;
-    vc_messages : int;
-    vc_bytes : int;
-    vc_authenticators : int;
-    committed : int;
-    agreement : bool;
-    latency : Stats.summary;
-  }
-
-  type open_loop = {
     workload : string;
+    clients : int;
+    executed : int;
+    throughput : float;
+    committed : int;
+    latency : Stats.summary;
+    agreement : bool;
     offered : float;
     goodput : float;
     generated : int;
@@ -43,15 +25,53 @@ module Result = struct
     rejected : int;
     drop_rate : float;
     peak_occupancy : int;
-    latency : Stats.summary;
-    agreement : bool;
+    recovered : bool;
+    recovery_latency : float;
+    recovery_messages : int;
+    recovery_bytes : int;
+    recovery_authenticators : int;
+    vc_latency : float;
+    unhappy : bool;
+    vc_messages : int;
+    vc_bytes : int;
+    vc_authenticators : int;
   }
 
-  (* -- JSON: one field-list renderer behind every record -- *)
+  let zero =
+    {
+      scenario = "";
+      workload = "";
+      clients = 0;
+      executed = 0;
+      throughput = 0.;
+      committed = 0;
+      latency = Stats.summarize [];
+      agreement = true;
+      offered = 0.;
+      goodput = 0.;
+      generated = 0;
+      sent = 0;
+      shed = 0;
+      rejected = 0;
+      drop_rate = 0.;
+      peak_occupancy = 0;
+      recovered = false;
+      recovery_latency = -1.;
+      recovery_messages = 0;
+      recovery_bytes = 0;
+      recovery_authenticators = 0;
+      vc_latency = -1.;
+      unhappy = false;
+      vc_messages = 0;
+      vc_bytes = 0;
+      vc_authenticators = 0;
+    }
 
-  (* Every record's to_json is an [obj] of [fld_*] combinators: field
-     names and formats live in exactly one list per record, so adding a
-     record (or a field) cannot drift from the others' conventions. *)
+  (* -- JSON: one field-list renderer behind every projection -- *)
+
+  (* Every projection is an [obj] of [fld_*] combinators: field names and
+     formats live in exactly one list per projection, so adding one (or a
+     field) cannot drift from the others' conventions. *)
   let obj fields = "{" ^ String.concat "," fields ^ "}"
   let fld_int key v = Printf.sprintf {|"%s":%d|} key v
   let fld_float key ~dp v = Printf.sprintf {|"%s":%.*f|} key dp v
@@ -92,16 +112,16 @@ module Result = struct
         fld_int "vc_messages" r.vc_messages;
       ]
 
-  (* recovery_latency is -1 when the cluster never committed again *)
+  (* the record's vc_* keys are the recovery window's traffic *)
   let fault_to_json r =
     obj
       [
         fld_str "scenario" r.scenario;
         fld_bool "recovered" r.recovered;
         fld_float "recovery_latency" ~dp:6 r.recovery_latency;
-        fld_int "vc_messages" r.vc_messages;
-        fld_int "vc_bytes" r.vc_bytes;
-        fld_int "vc_authenticators" r.vc_authenticators;
+        fld_int "vc_messages" r.recovery_messages;
+        fld_int "vc_bytes" r.recovery_bytes;
+        fld_int "vc_authenticators" r.recovery_authenticators;
         fld_int "committed" r.committed;
         fld_bool "agreement" r.agreement;
         fld_raw "latency" (summary_json r.latency);
@@ -122,118 +142,138 @@ module Result = struct
         fld_raw "latency" (summary_json r.latency);
         fld_bool "agreement" r.agreement;
       ]
-
-  (* -- pretty printers -- *)
-
-  let pp_throughput fmt r =
-    Format.fprintf fmt
-      "clients=%d throughput=%.0f ops/s latency(mean=%.4fs p95=%.4fs) %s"
-      r.clients r.throughput r.latency.Stats.mean r.latency.Stats.p95
-      (if r.agreement then "agreement=ok" else "AGREEMENT VIOLATED")
-
-  let pp_view_change fmt r =
-    Format.fprintf fmt
-      "vc_latency=%.4fs path=%s messages=%d bytes=%d authenticators=%d"
-      r.vc_latency
-      (if r.unhappy then "unhappy" else "happy")
-      r.vc_messages r.vc_bytes r.vc_authenticators
-
-  let pp_fault fmt r =
-    Format.fprintf fmt
-      "%s: %s messages=%d authenticators=%d committed=%d %s" r.scenario
-      (if r.recovered then Printf.sprintf "recovered in %.4fs" r.recovery_latency
-       else "NEVER RECOVERED")
-      r.vc_messages r.vc_authenticators r.committed
-      (if r.agreement then "agreement=ok" else "AGREEMENT VIOLATED")
-
-  let pp_open_loop fmt r =
-    Format.fprintf fmt
-      "%s offered=%.0f/s goodput=%.0f/s drop=%.1f%% p99=%.4fs p999=%.4fs \
-       peak_occ=%d %s"
-      r.workload r.offered r.goodput (100. *. r.drop_rate)
-      r.latency.Stats.p99 r.latency.Stats.p999 r.peak_occupancy
-      (if r.agreement then "agreement=ok" else "AGREEMENT VIOLATED")
 end
 
-module Obs = Marlin_obs
+(* Meter consensus traffic with timestamps: installs [net]'s send hook and
+   returns [window], which sums (bytes, authenticators, messages) sent in
+   [start, stop] once the run is over. *)
+let consensus_meter net sim =
+  let events = ref [] in
+  Netsim.on_send net
+    (Some
+       (fun ~src:_ ~dst:_ ~size m ->
+         if Obs.Metrics.is_consensus_message m then
+           events :=
+             (Sim.now sim, size, Marlin_types.Message.authenticators m)
+             :: !events));
+  fun ~start ~stop ->
+    List.fold_left
+      (fun (b, a, m) (time, size, auths) ->
+        if time >= start && time <= stop then (b + size, a + auths, m + 1)
+        else (b, a, m))
+      (0, 0, 0) !events
 
-type throughput_result = Result.throughput = {
-  clients : int;
-  throughput : float;
-  latency : Stats.summary;
-  agreement : bool;
-  executed : int;
-}
-
-type vc_result = Result.view_change = {
-  vc_latency : float;
-  unhappy : bool;
-  vc_bytes : int;
-  vc_authenticators : int;
-  vc_messages : int;
-}
-
-type fault_result = Result.fault = {
-  scenario : string;
-  recovered : bool;
-  recovery_latency : float;
-  vc_messages : int;
-  vc_bytes : int;
-  vc_authenticators : int;
-  committed : int;
-  agreement : bool;
-  latency : Stats.summary;
-}
-
-type open_loop_result = Result.open_loop = {
-  workload : string;
-  offered : float;
-  goodput : float;
-  generated : int;
-  sent : int;
-  shed : int;
-  rejected : int;
-  drop_rate : float;
-  peak_occupancy : int;
-  latency : Stats.summary;
-  agreement : bool;
-}
-
-let run_with_crashes (module P : C.PROTOCOL) ~params ~crashed ~warmup ~duration =
-  let module Cl = Cluster.Make (P) in
+let run (module P : C.PROTOCOL) ~params ~warmup (sc : Scenario.t) =
+  (* Byzantine behaviours are switched on by inserting into this table at
+     the scripted instant; the wrapper consults it on every callback. *)
+  let plan : (int, Faults.Byzantine.behaviour) Hashtbl.t = Hashtbl.create 4 in
+  let proto : C.protocol =
+    if Scenario.has_byzantine sc then
+      Faults.Byzantine.wrap
+        ~plan:(Faults.Byzantine.plan_of_table plan)
+        (module P)
+    else (module P)
+  in
+  let module W = (val proto) in
+  let module Cl = Cluster.Make (W) in
   let t = Cl.create params in
-  List.iter (fun id -> Cl.crash t ~at:0.0 id) crashed;
-  Cl.run t ~until:(warmup +. duration);
-  let probe =
-    (* a live replica with a high id (low ids answer clients) *)
-    let rec find id = if List.mem id crashed then find (id - 1) else id in
-    find (params.Cluster.n - 1)
+  let traffic = consensus_meter (Cl.net t) (Cl.sim t) in
+  Cl.apply_scenario t sc ~on_byzantine:(fun id b -> Hashtbl.replace plan id b);
+  let workload = params.Cluster.workload in
+  let open_loop = Workload.is_open workload in
+  if open_loop then
+    Sim.schedule_at (Cl.sim t) ~time:warmup (fun () ->
+        Cl.open_loop_reset_window t);
+  let run_for = sc.Scenario.run_for in
+  Cl.run t ~until:run_for;
+  (* fold the trace's critical-path segments into the windows the live
+     feeds filled, so each window also carries segment seconds *)
+  Option.iter
+    (fun obs ->
+      Option.iter
+        (fun ts ->
+          Obs.Timeseries.bin_segments ts
+            (Obs.Span.reconstruct (Obs.Run.trace_events obs)))
+        (Obs.Run.timeseries obs))
+    params.Cluster.obs;
+  (* the probe: the highest-id replica that is neither dead at the end nor
+     Byzantine (low ids answer clients) *)
+  let dead = Scenario.crashed_at_end sc in
+  let byz = List.map fst (Scenario.byzantine sc) in
+  let rec probe id =
+    if id > 0 && (List.mem id dead || List.mem id byz) then probe (id - 1)
+    else id
   in
+  let probe = probe (params.Cluster.n - 1) in
+  let duration = run_for -. warmup in
   let executed =
-    Cl.committed_ops_in t ~replica:probe ~since:warmup ~until:(warmup +. duration)
+    Cl.committed_ops_in t ~replica:probe ~since:warmup ~until:run_for
   in
-  {
-    clients = Workload.closed_clients params.Cluster.workload;
-    throughput = float_of_int executed /. duration;
-    latency =
-      Stats.summarize (Cl.latencies_in t ~since:warmup ~until:(warmup +. duration));
-    agreement = Cl.check_agreement t;
-    executed;
-  }
-
-let run_throughput proto ~params ~warmup ~duration =
-  run_with_crashes proto ~params ~crashed:[] ~warmup ~duration
-
-let run_instrumented (module P : C.PROTOCOL) ~params ~warmup ~duration
-    ?(trace = false) () =
-  let obs = Obs.Run.create ~trace ~n:params.Cluster.n () in
+  let per_second count = float_of_int count /. duration in
+  (* recovery: from [settle_at] to the probe's first commit afterwards, and
+     the consensus traffic from the first fault to that commit *)
+  let settle = sc.Scenario.settle_at in
+  let recovery_commit = Cl.first_commit_after t ~replica:probe settle in
+  let recovery_bytes, recovery_auths, recovery_msgs =
+    traffic
+      ~start:(Scenario.first_fault_at sc)
+      ~stop:(Option.value recovery_commit ~default:run_for)
+  in
+  (* view change: from the first timeout escalation to replica 1's first
+     commit afterwards *)
+  let vc_start = Option.value (Cl.view_change_start t) ~default:settle in
+  let vc_commit = Cl.first_commit_after t ~replica:1 vc_start in
+  let vc_bytes, vc_auths, vc_msgs =
+    traffic ~start:vc_start ~stop:(Option.value vc_commit ~default:run_for)
+  in
   let r =
-    run_throughput
-      (module P)
-      ~params:{ params with Cluster.obs = Some obs }
-      ~warmup ~duration
+    {
+      Result.zero with
+      scenario = sc.Scenario.name;
+      workload = Workload.label workload;
+      clients = Workload.closed_clients workload;
+      executed;
+      throughput = per_second executed;
+      committed = Cl.total_executed t ~replica:probe;
+      agreement = Cl.check_agreement t;
+      recovered = Option.is_some recovery_commit;
+      recovery_latency =
+        (match recovery_commit with Some c -> c -. settle | None -> -1.);
+      recovery_messages = recovery_msgs;
+      recovery_bytes;
+      recovery_authenticators = recovery_auths;
+      vc_latency =
+        (match vc_commit with Some c -> c -. vc_start | None -> -1.);
+      unhappy = Cl.pre_prepare_seen t;
+      vc_messages = vc_msgs;
+      vc_bytes;
+      vc_authenticators = vc_auths;
+    }
   in
-  (r, obs)
+  if open_loop then
+    let s = Cl.open_loop_stats t in
+    {
+      r with
+      offered = Option.value (Workload.offered_rate workload) ~default:0.;
+      goodput = per_second s.Cluster.completed;
+      generated = s.Cluster.generated;
+      sent = s.Cluster.sent;
+      shed = s.Cluster.shed;
+      rejected = s.Cluster.rejected;
+      drop_rate =
+        (if s.Cluster.generated = 0 then 0.
+         else
+           float_of_int (s.Cluster.shed + s.Cluster.rejected)
+           /. float_of_int s.Cluster.generated);
+      peak_occupancy = s.Cluster.peak_occupancy;
+      latency = s.Cluster.latency;
+    }
+  else
+    {
+      r with
+      latency =
+        Stats.summarize (Cl.latencies_in t ~since:warmup ~until:run_for);
+    }
 
 let critical_path ?label obs =
   Obs.Critical_path.analyze ?label (Obs.Span.reconstruct (Obs.Run.trace_events obs))
@@ -241,7 +281,7 @@ let critical_path ?label obs =
 (* The machine-readable per-protocol record the bench JSON emitter writes:
    throughput, commit latency, message/authenticator cost per block, and —
    when the run was traced — the critical-path phase breakdown. *)
-let profile_json ~label ~sim_seconds (r : throughput_result) obs =
+let profile_json ~label ~sim_seconds (r : Result.t) obs =
   let metrics = Obs.Run.metrics obs in
   let total_msgs, total_auths =
     Array.fold_left
@@ -271,127 +311,39 @@ let profile_json ~label ~sim_seconds (r : throughput_result) obs =
     (Result.summary_json (Obs.Metrics.commit_latency metrics.(0)))
     breakdown
 
-let sweep proto ~params ~warmup ~duration ~client_counts =
-  List.map
-    (fun clients ->
-      run_throughput proto
-        ~params:
-          { params with Cluster.workload = Workload.closed_loop ~clients }
-        ~warmup ~duration)
-    client_counts
+(* The point with the highest [score] among those [within] the cap, tagged
+   [`Fallback] (the overall best) when none is. *)
+let best_within ~what ~score ~within = function
+  | [] -> invalid_arg what
+  | first :: _ as points ->
+      let best =
+        List.fold_left (fun acc r -> if score r > score acc then r else acc) first
+      in
+      (match List.filter within points with
+      | [] -> (best points, `Fallback)
+      | ok -> (best ok, `Within_cap))
 
 let peak ?latency_cap results =
-  let best = function
-    | [] -> invalid_arg "Experiment.peak: no results"
-    | first :: rest ->
-        List.fold_left
-          (fun acc r -> if r.throughput > acc.throughput then r else acc)
-          first rest
-  in
-  match latency_cap with
-  | None -> (best results, `Within_cap)
-  | Some cap -> (
-      match
-        List.filter
-          (fun (r : throughput_result) -> r.latency.Stats.mean <= cap)
-          results
-      with
-      | [] ->
-          (* every point blew the cap: the best point is saturated, not a
-             sustainable peak — the tag forces callers to say so *)
-          (best results, `Fallback)
-      | within -> (best within, `Within_cap))
+  (* every point blew the cap: the best point is saturated, not a
+     sustainable peak — the tag forces callers to say so *)
+  best_within ~what:"Experiment.peak: no results"
+    ~score:(fun (r : Result.t) -> r.Result.throughput)
+    ~within:(fun (r : Result.t) ->
+      match latency_cap with
+      | None -> true
+      | Some cap -> r.Result.latency.Stats.mean <= cap)
+    results
 
-(* ---------- open loop ---------- *)
-
-let run_open_loop (module P : C.PROTOCOL) ~params ~warmup ~duration =
-  (match params.Cluster.workload with
-  | Workload.Open_loop _ -> ()
-  | Workload.Closed_loop _ ->
-      invalid_arg
-        "Experiment.run_open_loop: params.workload is closed-loop (build it \
-         with Workload.open_loop)");
-  let module Cl = Cluster.Make (P) in
-  let t = Cl.create params in
-  Sim.schedule_at (Cl.sim t) ~time:warmup (fun () ->
-      Cl.open_loop_reset_window t);
-  Cl.run t ~until:(warmup +. duration);
-  let s = Cl.open_loop_stats t in
-  let offered =
-    match Workload.offered_rate params.Cluster.workload with
-    | Some rate -> rate
-    | None -> 0.
-  in
-  {
-    workload = Workload.label params.Cluster.workload;
-    offered;
-    goodput = float_of_int s.Cluster.completed /. duration;
-    generated = s.Cluster.generated;
-    sent = s.Cluster.sent;
-    shed = s.Cluster.shed;
-    rejected = s.Cluster.rejected;
-    drop_rate =
-      (if s.Cluster.generated = 0 then 0.
-       else
-         float_of_int (s.Cluster.shed + s.Cluster.rejected)
-         /. float_of_int s.Cluster.generated);
-    peak_occupancy = s.Cluster.peak_occupancy;
-    latency = s.Cluster.latency;
-    agreement = Cl.check_agreement t;
-  }
-
-let open_loop_sweep proto ~params ~warmup ~duration ~rates =
-  List.map
-    (fun rate ->
-      run_open_loop proto
-        ~params:
-          {
-            params with
-            Cluster.workload =
-              Workload.with_rate params.Cluster.workload ~rate;
-          }
-        ~warmup ~duration)
-    rates
-
-let knee ?(latency_cap = 1.0) (points : open_loop_result list) =
-  let best = function
-    | [] -> invalid_arg "Experiment.knee: no points"
-    | first :: rest ->
-        List.fold_left
-          (fun acc (r : open_loop_result) ->
-            if r.goodput > acc.goodput then r else acc)
-          first rest
-  in
-  match
-    List.filter
-      (fun (r : open_loop_result) -> r.latency.Stats.p99 <= latency_cap)
-      points
-  with
-  | [] -> (best points, `Fallback)
-  | within -> (best within, `Within_cap)
+let knee ?(latency_cap = 1.0) points =
+  best_within ~what:"Experiment.knee: no points"
+    ~score:(fun (r : Result.t) -> r.Result.goodput)
+    ~within:(fun (r : Result.t) -> r.Result.latency.Stats.p99 <= latency_cap)
+    points
 
 (* ---------- attribution: why the knee is where it is ---------- *)
 
-let run_attributed proto ~params ~warmup ~duration ?(window = 0.25) () =
-  let obs =
-    Obs.Run.create ~trace:true ~windows:window ~n:params.Cluster.n ()
-  in
-  let r =
-    run_open_loop proto
-      ~params:{ params with Cluster.obs = Some obs }
-      ~warmup ~duration
-  in
-  (* the live feeds captured commits/drops/occupancy; the trace is folded
-     in post-hoc so every window also carries segment seconds *)
-  (match Obs.Run.timeseries obs with
-  | Some ts ->
-      Obs.Timeseries.bin_segments ts
-        (Obs.Span.reconstruct (Obs.Run.trace_events obs))
-  | None -> ());
-  (r, obs)
-
 type attributed_point = {
-  point : open_loop_result;
+  point : Result.t;
   verdict : Obs.Bottleneck.verdict;
   timeseries : Obs.Timeseries.t;
 }
@@ -399,7 +351,7 @@ type attributed_point = {
 type attribution = {
   protocol : string;
   n : int;
-  knee_point : open_loop_result;
+  knee_point : Result.t;
   sustainable : bool;
   at_knee : attributed_point;
   past_knee : attributed_point;
@@ -409,36 +361,46 @@ let what_breaks_first a = a.past_knee.verdict.Obs.Bottleneck.bottleneck
 
 let attribute_knee ?(latency_cap = 1.0) ?(window = 0.25) ?drop_threshold
     proto ~name ~params ~warmup ~duration ~rates =
+  let steady = Faults.Catalogue.steady ~run_for:(warmup +. duration) () in
+  let at_rate rate =
+    {
+      params with
+      Cluster.workload = Workload.with_rate params.Cluster.workload ~rate;
+    }
+  in
   (* cheap untraced ladder to locate the knee, then two traced + windowed
      runs: at the knee rate and just past it *)
-  let points = open_loop_sweep proto ~params ~warmup ~duration ~rates in
+  let points =
+    List.map (fun rate -> run proto ~params:(at_rate rate) ~warmup steady) rates
+  in
   let k, cap = knee ~latency_cap points in
   let past_rate =
     match
       List.filter
-        (fun r -> r > k.offered +. 1e-9)
+        (fun r -> r > k.Result.offered +. 1e-9)
         (List.sort_uniq Float.compare rates)
     with
     | r :: _ -> r
-    | [] -> k.offered *. 1.5
+    | [] -> k.Result.offered *. 1.5
   in
   let attributed_at rate =
-    let params =
-      {
-        params with
-        Cluster.workload = Workload.with_rate params.Cluster.workload ~rate;
-      }
+    let obs =
+      Obs.Run.create ~trace:true ~windows:window ~n:params.Cluster.n ()
     in
-    let r, obs = run_attributed proto ~params ~warmup ~duration ~window () in
+    let r =
+      run proto ~params:{ (at_rate rate) with Cluster.obs = Some obs } ~warmup
+        steady
+    in
     let ts =
       match Obs.Run.timeseries obs with
       | Some ts -> ts
-      | None -> assert false (* run_attributed always attaches windows *)
+      | None -> assert false (* created with ~windows *)
     in
     let verdict =
       Obs.Bottleneck.classify ?drop_threshold ~latency_cap
-        ~drop_rate:r.drop_rate ~shed:r.shed ~rejected:r.rejected
-        ~peak_occupancy:r.peak_occupancy ~latency_p99:r.latency.Stats.p99 ts
+        ~drop_rate:r.Result.drop_rate ~shed:r.Result.shed
+        ~rejected:r.Result.rejected ~peak_occupancy:r.Result.peak_occupancy
+        ~latency_p99:r.Result.latency.Stats.p99 ts
     in
     { point = r; verdict; timeseries = ts }
   in
@@ -447,7 +409,7 @@ let attribute_knee ?(latency_cap = 1.0) ?(window = 0.25) ?drop_threshold
     n = params.Cluster.n;
     knee_point = k;
     sustainable = (match cap with `Within_cap -> true | `Fallback -> false);
-    at_knee = attributed_at k.offered;
+    at_knee = attributed_at k.Result.offered;
     past_knee = attributed_at past_rate;
   }
 
@@ -477,134 +439,3 @@ let attribution_to_json a =
       Result.fld_raw "past_knee"
         (attributed_point_to_json ~windows:true a.past_knee);
     ]
-
-(* Meter consensus traffic with timestamps: installs [net]'s send hook and
-   returns [window], which sums (bytes, authenticators, messages) sent in
-   [start, stop] once the run is over. *)
-let consensus_meter net sim =
-  let events = ref [] in
-  Netsim.on_send net
-    (Some
-       (fun ~src:_ ~dst:_ ~size m ->
-         if Obs.Metrics.is_consensus_message m then
-           events :=
-             (Sim.now sim, size, Marlin_types.Message.authenticators m)
-             :: !events));
-  fun ~start ~stop ->
-    List.fold_left
-      (fun (b, a, m) (time, size, auths) ->
-        if time >= start && time <= stop then (b + size, a + auths, m + 1)
-        else (b, a, m))
-      (0, 0, 0) !events
-
-let run_view_change (module P : C.PROTOCOL) ~params ~force_unhappy =
-  let module Cl = Cluster.Make (P) in
-  let t = Cl.create params in
-  let sim = Cl.sim t in
-  let net = Cl.net t in
-  let warm = 2.0 in
-  let divergence_window = 0.3 in
-  let crash_at = if force_unhappy then warm +. divergence_window else warm in
-  (* the view-change window [vc_start, first_commit] is summed after the
-     run *)
-  let window = consensus_meter net sim in
-  if force_unhappy then
-    (* Divergence without timer skew: during the window the doomed
-       leader's proposals reach only replica 1. Replica 1 votes for one
-       more block than everyone else (so last-voted blocks diverge and the
-       next leader's snapshot cannot take the happy path), that block's QC
-       never forms, and the blocks before it keep committing everywhere —
-       so every replica's view timer stays aligned. *)
-    Sim.schedule_at sim ~time:warm (fun () ->
-        Netsim.Fault.set_link_filter net
-          (Some
-             (fun ~src ~dst (m : Marlin_types.Message.t) ->
-               src <> 0
-               ||
-               match m.Marlin_types.Message.payload with
-               | Marlin_types.Message.Propose _ -> dst = 1
-               | _ -> true)));
-  Cl.crash t ~at:crash_at 0;
-  Sim.schedule_at sim ~time:crash_at (fun () ->
-      Netsim.Fault.set_link_filter net None);
-  Cl.run t ~until:(crash_at +. (4. *. params.Cluster.base_timeout) +. 5.);
-  let vc_start =
-    match Cl.view_change_start t with
-    | Some s -> s
-    | None -> crash_at
-  in
-  let probe = 1 in
-  let first_commit =
-    match Cl.first_commit_after t ~replica:probe vc_start with
-    | Some time -> time
-    | None -> infinity
-  in
-  let vc_bytes, vc_auths, vc_msgs = window ~start:vc_start ~stop:first_commit in
-  {
-    vc_latency = first_commit -. vc_start;
-    unhappy = Cl.pre_prepare_seen t;
-    vc_bytes;
-    vc_authenticators = vc_auths;
-    vc_messages = vc_msgs;
-  }
-
-module Faults = Marlin_faults
-
-let run_scenario ?params ?obs (module P : C.PROTOCOL)
-    (sc : Faults.Scenario.t) =
-  let params =
-    match params with
-    | Some p -> p
-    | None -> Cluster.params_for_f sc.Faults.Scenario.f
-  in
-  let params = match obs with None -> params | Some _ -> { params with Cluster.obs = obs } in
-  (* Byzantine behaviours are switched on by inserting into this table at
-     the scripted instant; the wrapper consults it on every callback. *)
-  let plan : (int, Faults.Byzantine.behaviour) Hashtbl.t = Hashtbl.create 4 in
-  let proto : C.protocol =
-    if Faults.Scenario.has_byzantine sc then
-      Faults.Byzantine.wrap
-        ~plan:(Faults.Byzantine.plan_of_table plan)
-        (module P)
-    else (module P)
-  in
-  let module W = (val proto) in
-  let module Cl = Cluster.Make (W) in
-  let t = Cl.create params in
-  let window = consensus_meter (Cl.net t) (Cl.sim t) in
-  Cl.apply_scenario t sc ~on_byzantine:(fun id b -> Hashtbl.replace plan id b);
-  Cl.run t ~until:sc.Faults.Scenario.run_for;
-  (* probe: the highest-id replica that is neither dead at the end nor
-     Byzantine — its commits witness the cluster's recovery *)
-  let dead = Faults.Scenario.crashed_at_end sc in
-  let byz = List.map fst (Faults.Scenario.byzantine sc) in
-  let probe =
-    let rec find id =
-      if id <= 0 then 0
-      else if List.mem id dead || List.mem id byz then find (id - 1)
-      else id
-    in
-    find (params.Cluster.n - 1)
-  in
-  let settle = sc.Faults.Scenario.settle_at in
-  let first_commit = Cl.first_commit_after t ~replica:probe settle in
-  (* view-change traffic: first disruption to the recovery commit *)
-  let vc_bytes, vc_auths, vc_msgs =
-    window
-      ~start:(Faults.Scenario.first_fault_at sc)
-      ~stop:(Option.value first_commit ~default:sc.Faults.Scenario.run_for)
-  in
-  {
-    scenario = sc.Faults.Scenario.name;
-    recovered = first_commit <> None;
-    recovery_latency =
-      (match first_commit with Some c -> c -. settle | None -> -1.);
-    vc_messages = vc_msgs;
-    vc_bytes;
-    vc_authenticators = vc_auths;
-    committed = Cl.total_executed t ~replica:probe;
-    agreement = Cl.check_agreement t;
-    latency =
-      Stats.summarize
-        (Cl.latencies_in t ~since:0. ~until:sc.Faults.Scenario.run_for);
-  }

@@ -1,126 +1,95 @@
-(** Experiment drivers: the reusable measurement procedures behind the
-    paper's figures (throughput/latency sweeps, peak throughput,
-    view-change latency, rotating leaders under crash faults). *)
+(** The experiment behind every figure: one cluster, one fault scenario,
+    one measurement window ({!run}), plus the selections over runs
+    (peak throughput, the open-loop knee) and the bottleneck attribution
+    at the knee. *)
 
-(** The result records, with shared printers and JSON renderers so every
-    harness (bench targets, tests, ad-hoc scripts) reports them the same
-    way. *)
+(** The result of one run, with one JSON projection per experiment family
+    so every harness (bench targets, tests, ad-hoc scripts) reports it the
+    same way. Every field is measured on every run; a projection renders
+    only the fields its family reads. *)
 module Result : sig
-  type throughput = {
-    clients : int;
-    throughput : float;  (** committed operations per second, steady state *)
-    latency : Marlin_analysis.Stats.summary;  (** client latency, seconds *)
+  type t = {
+    scenario : string;  (** the scenario's name *)
+    workload : string;  (** {!Marlin_workload.Workload.label} of the load *)
+    clients : int;  (** closed-loop clients; [0] for an open loop *)
+    executed : int;
+        (** ops executed at the probe replica in the window
+            [[warmup, run_for]] *)
+    throughput : float;  (** [executed] per second of the window *)
+    committed : int;  (** ops executed at the probe replica over the run *)
+    latency : Marlin_analysis.Stats.summary;
+        (** client latency in the window, seconds; for an open loop,
+            submit to first commit with p999, measured per offered op (no
+            coordinated omission) *)
     agreement : bool;  (** did all live replicas agree? *)
-    executed : int;  (** ops executed in the window at the probe replica *)
-  }
-
-  type view_change = {
-    vc_latency : float;  (** seconds, view-change start to first commit *)
-    unhappy : bool;  (** did the PRE-PREPARE phase run (Marlin only)? *)
-    vc_bytes : int;  (** consensus bytes on the wire during the view change *)
-    vc_authenticators : int;
-    vc_messages : int;
-  }
-
-  type fault = {
-    scenario : string;  (** scenario name *)
-    recovered : bool;  (** did the probe replica commit after [settle_at]? *)
+    offered : float;  (** mean offered load, ops/s (open loop; else 0) *)
+    goodput : float;
+        (** unique ops committed per second in the window (open loop) *)
+    generated : int;  (** arrivals offered in the window (open loop) *)
+    sent : int;  (** put on the wire, not shed (open loop) *)
+    shed : int;  (** shed at the source on backpressure (open loop) *)
+    rejected : int;
+        (** rejected by admission control at the contact (open loop) *)
+    drop_rate : float;  (** (shed + rejected) / generated (open loop) *)
+    peak_occupancy : int;
+        (** max mempool occupancy at any replica in the window (open loop) *)
+    recovered : bool;
+        (** did the probe replica commit after the scenario's [settle_at]? *)
     recovery_latency : float;
-        (** seconds from the scenario's [settle_at] to the probe replica's
-            first commit afterwards; [-1] when it never recovered *)
-    vc_messages : int;
-        (** consensus messages from the first fault to the recovery commit *)
+        (** seconds from [settle_at] to the probe's first commit
+            afterwards; [-1] when it never recovered *)
+    recovery_messages : int;
+        (** consensus messages from the first fault to that commit (to the
+            end of the run when there is none) *)
+    recovery_bytes : int;
+    recovery_authenticators : int;
+    vc_latency : float;
+        (** seconds from the first timeout escalation (the scenario's
+            [settle_at] when none happened) to replica 1's first commit
+            afterwards; [-1] when the view change never completed *)
+    unhappy : bool;
+        (** did a PRE-PREPARE cross the network (Marlin's unhappy path)? *)
+    vc_messages : int;  (** consensus messages in the view-change window *)
     vc_bytes : int;
     vc_authenticators : int;
-    committed : int;  (** total ops executed at the probe replica *)
-    agreement : bool;
-    latency : Marlin_analysis.Stats.summary;
-        (** client latency over the whole run — the fault's commit-latency
-            impact *)
   }
 
-  type open_loop = {
-    workload : string;  (** {!Marlin_workload.Workload.label} of the load *)
-    offered : float;  (** mean offered load, ops/s *)
-    goodput : float;  (** unique ops committed per second in the window *)
-    generated : int;  (** arrivals offered in the window *)
-    sent : int;  (** put on the wire (not shed) *)
-    shed : int;  (** shed at the source on backpressure *)
-    rejected : int;  (** rejected by admission control at the contact *)
-    drop_rate : float;  (** (shed + rejected) / generated *)
-    peak_occupancy : int;  (** max mempool occupancy at any replica *)
-    latency : Marlin_analysis.Stats.summary;
-        (** submit to first commit, seconds, with p999 — measured per
-            offered op: no coordinated omission *)
-    agreement : bool;
-  }
+  val zero : t
+  (** Every count and rate zero, both latencies [-1], the latency summary
+      empty, [agreement] true: a base for synthetic results. *)
 
-  val pp_throughput : Format.formatter -> throughput -> unit
-  val pp_view_change : Format.formatter -> view_change -> unit
-  val pp_fault : Format.formatter -> fault -> unit
-  val pp_open_loop : Format.formatter -> open_loop -> unit
-  val summary_json : Marlin_analysis.Stats.summary -> string
-  val throughput_to_json : throughput -> string
-  val view_change_to_json : view_change -> string
-  val fault_to_json : fault -> string
-  val open_loop_to_json : open_loop -> string
+  val throughput_to_json : t -> string
+  (** clients, throughput, latency, agreement, executed *)
+
+  val view_change_to_json : t -> string
+  (** vc_latency, unhappy and the view-change traffic *)
+
+  val fault_to_json : t -> string
+  (** scenario, recovery, the recovery traffic (under [vc_*] keys),
+      committed, agreement, latency *)
+
+  val open_loop_to_json : t -> string
+  (** the workload, the offered-load and drop accounting, occupancy,
+      latency tail and agreement *)
 end
 
-type throughput_result = Result.throughput = {
-  clients : int;
-  throughput : float;
-  latency : Marlin_analysis.Stats.summary;
-  agreement : bool;
-  executed : int;
-}
-
-type vc_result = Result.view_change = {
-  vc_latency : float;
-  unhappy : bool;
-  vc_bytes : int;
-  vc_authenticators : int;
-  vc_messages : int;
-}
-
-type fault_result = Result.fault = {
-  scenario : string;
-  recovered : bool;
-  recovery_latency : float;
-  vc_messages : int;
-  vc_bytes : int;
-  vc_authenticators : int;
-  committed : int;
-  agreement : bool;
-  latency : Marlin_analysis.Stats.summary;
-}
-
-type open_loop_result = Result.open_loop = {
-  workload : string;
-  offered : float;
-  goodput : float;
-  generated : int;
-  sent : int;
-  shed : int;
-  rejected : int;
-  drop_rate : float;
-  peak_occupancy : int;
-  latency : Marlin_analysis.Stats.summary;
-  agreement : bool;
-}
-
-val run_throughput :
+val run :
   Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  warmup:float -> duration:float -> throughput_result
-(** Run the cluster for [warmup + duration] simulated seconds and measure
-    over the steady-state window. *)
+  warmup:float -> Marlin_faults.Scenario.t -> Result.t
+(** The one experiment: build the cluster from [params], play the
+    scenario's steps against it ([Cluster.apply_scenario]; the protocol is
+    wrapped with [Marlin_faults.Byzantine.wrap] when the script has
+    Byzantine steps), run it to the scenario's [run_for], and measure.
 
-val run_instrumented :
-  Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  warmup:float -> duration:float -> ?trace:bool -> unit ->
-  throughput_result * Marlin_obs.Run.t
-(** [run_throughput] with a fresh observability run attached (replacing
-    any [params.obs]): per-replica metrics always, the event trace too
-    when [trace] (default [false]). *)
+    The measurement window is [[warmup, run_for]]; an open-loop workload's
+    counters are reset at [warmup]. Throughput, recovery and the run's
+    totals are read at the probe replica: the highest id that is neither
+    crashed at the end nor Byzantine. The view-change fields are read at
+    replica 1. When [params.obs] carries a windowed timeseries, the trace's
+    critical-path segments are folded into its windows after the run.
+
+    Steady runs pass {!Marlin_faults.Catalogue.steady}; fault scenarios
+    pass [~warmup:0.], so [latency] covers the whole run. *)
 
 val critical_path :
   ?label:string -> Marlin_obs.Run.t -> Marlin_obs.Critical_path.t
@@ -128,23 +97,17 @@ val critical_path :
     (empty analysis when the run was not traced). *)
 
 val profile_json :
-  label:string -> sim_seconds:float -> throughput_result ->
+  label:string -> sim_seconds:float -> Result.t ->
   Marlin_obs.Run.t -> string
 (** The per-protocol record of the machine-readable bench output:
     throughput, commit-latency histogram, consensus messages and
     authenticators per committed block, and — when traced — the
     critical-path phase breakdown ([null] otherwise). *)
 
-val sweep :
-  Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  warmup:float -> duration:float -> client_counts:int list ->
-  throughput_result list
-(** One throughput/latency point per client count (a figure 10a-f curve). *)
-
 val peak :
   ?latency_cap:float ->
-  throughput_result list ->
-  throughput_result * [ `Within_cap | `Fallback ]
+  Result.t list ->
+  Result.t * [ `Within_cap | `Fallback ]
 (** The point with the highest throughput among those whose mean latency is
     within [latency_cap] (default: none). The paper's throughput/latency
     figures plot latency up to 1 s, so its "peak throughput" is the best
@@ -153,28 +116,10 @@ val peak :
     saturated point, which callers must not report as a sustainable peak.
     @raise Invalid_argument on the empty list. *)
 
-val run_open_loop :
-  Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  warmup:float -> duration:float -> open_loop_result
-(** Offered-load measurement: run for [warmup + duration] simulated
-    seconds with the open-loop workload in [params.workload], reset the
-    measurement window at [warmup], and report goodput, drop accounting,
-    mempool peak occupancy and the submit-to-first-commit latency tail
-    over the steady window.
-    @raise Invalid_argument when [params.workload] is closed-loop. *)
-
-val open_loop_sweep :
-  Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  warmup:float -> duration:float -> rates:float list ->
-  open_loop_result list
-(** One {!run_open_loop} point per offered rate ([params.workload]
-    re-targeted via {!Marlin_workload.Workload.with_rate}) — the
-    goodput-vs-offered-load curve whose knee {!knee} finds. *)
-
 val knee :
   ?latency_cap:float ->
-  open_loop_result list ->
-  open_loop_result * [ `Within_cap | `Fallback ]
+  Result.t list ->
+  Result.t * [ `Within_cap | `Fallback ]
 (** Max sustainable throughput: the highest-goodput point whose p99
     latency is within [latency_cap] (default 1 s). [`Fallback] means every
     point blew the cap — the curve never left saturation, so the returned
@@ -183,19 +128,8 @@ val knee :
 
 (* -- bottleneck attribution at the knee -- *)
 
-val run_attributed :
-  Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  warmup:float -> duration:float -> ?window:float -> unit ->
-  open_loop_result * Marlin_obs.Run.t
-(** {!run_open_loop} with a fresh traced run carrying a windowed
-    {!Marlin_obs.Timeseries.t} of width [window] (default 0.25 s)
-    attached (replacing any [params.obs]); after the run the span
-    profiler's critical-path segments are folded into the windows, so
-    [Marlin_obs.Run.timeseries] returns per-window commits, latency,
-    drop mix, occupancy, NIC backlog {e and} segment shares. *)
-
 type attributed_point = {
-  point : open_loop_result;
+  point : Result.t;
   verdict : Marlin_obs.Bottleneck.verdict;
   timeseries : Marlin_obs.Timeseries.t;
 }
@@ -203,7 +137,7 @@ type attributed_point = {
 type attribution = {
   protocol : string;  (** the caller's display name for the protocol *)
   n : int;
-  knee_point : open_loop_result;  (** from the cheap untraced ladder *)
+  knee_point : Result.t;  (** from the cheap untraced ladder *)
   sustainable : bool;  (** was the knee within the latency cap? *)
   at_knee : attributed_point;  (** re-run, traced, at the knee rate *)
   past_knee : attributed_point;  (** re-run just past the knee — what broke *)
@@ -218,11 +152,14 @@ val attribute_knee :
   Marlin_core.Consensus_intf.protocol -> name:string ->
   params:Cluster.params -> warmup:float -> duration:float ->
   rates:float list -> attribution
-(** Run the open-loop ladder ({!open_loop_sweep} over [rates], untraced —
-    locating the knee must not pay tracing costs), find the {!knee} under
-    [latency_cap] (default 1 s), then {!run_attributed} at the knee rate
-    and at the next ladder rate above it (knee × 1.5 when the knee is the
-    top rung) and {!Marlin_obs.Bottleneck.classify} both points. *)
+(** Run the open-loop ladder (one steady {!run} of [warmup + duration]
+    seconds per rate in [rates], [params.workload] re-targeted via
+    {!Marlin_workload.Workload.with_rate}; untraced — locating the knee
+    must not pay tracing costs), find the {!knee} under [latency_cap]
+    (default 1 s), then re-run at the knee rate and at the next ladder
+    rate above it (knee × 1.5 when the knee is the top rung) with a fresh
+    traced run carrying windows of width [window] (default 0.25 s), and
+    {!Marlin_obs.Bottleneck.classify} both points. *)
 
 val attributed_point_to_json : ?windows:bool -> attributed_point -> string
 (** [windows] (default false) inlines the full per-window timeseries. *)
@@ -231,32 +168,3 @@ val attribution_to_json : attribution -> string
 (** The marlin-bench/1 record: protocol, n, sustainability, the headline
     verdict, the knee point, and both attributed points (per-window
     timeseries inlined for the past-knee point). *)
-
-val run_view_change :
-  Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  force_unhappy:bool -> vc_result
-(** Warm the cluster up, crash the leader, and measure the paper's
-    view-change latency: from the instant a replica escalates its timeout
-    to the first block committed afterwards. With [force_unhappy], the
-    doomed leader's final broadcasts are delivered to a single replica
-    first, so view-change snapshots disagree and Marlin's unhappy path
-    (PRE-PREPARE) runs. *)
-
-val run_scenario :
-  ?params:Cluster.params ->
-  ?obs:Marlin_obs.Run.t ->
-  Marlin_core.Consensus_intf.protocol ->
-  Marlin_faults.Scenario.t ->
-  fault_result
-(** Run a fault scenario end to end: size the cluster from the scenario's
-    [f] (unless [params] overrides), wrap the protocol with
-    [Marlin_faults.Byzantine.wrap] when the script has Byzantine steps,
-    interpret the script via [Cluster.apply_scenario], and measure recovery
-    latency plus the consensus traffic between the first fault and the
-    recovery commit. *)
-
-val run_with_crashes :
-  Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  crashed:int list -> warmup:float -> duration:float -> throughput_result
-(** Crash the given replicas at time 0 (rotating-leader experiments,
-    Figure 10j). *)

@@ -29,7 +29,7 @@ let params_for (sc : Scenario.t) =
   }
 
 let run_sc name sc =
-  Experiment.run_scenario ~params:(params_for sc) (Registry.find_exn name) sc
+  Experiment.run (Registry.find_exn name) ~params:(params_for sc) ~warmup:0. sc
 
 (* ---------- catalogue: safety and liveness ---------- *)
 
@@ -42,11 +42,11 @@ let test_catalogue_safety_liveness () =
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s: no conflicting commits" sc.Scenario.name
                pname)
-            true r.Experiment.agreement;
+            true r.Experiment.Result.agreement;
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s: commits resume after the fault settles"
                sc.Scenario.name pname)
-            true r.Experiment.recovered)
+            true r.Experiment.Result.recovered)
         [ "marlin"; "hotstuff"; "chained-marlin"; "chained-hotstuff" ])
     Catalogue.all
 
@@ -57,8 +57,8 @@ let test_vc_authenticators_linear () =
     let sc = Catalogue.leader_crash ~f ~phase:`Prepare () in
     let r = run_sc pname sc in
     Alcotest.(check bool) (Printf.sprintf "%s f=%d recovered" pname f) true
-      r.Experiment.recovered;
-    float_of_int r.Experiment.vc_authenticators
+      r.Experiment.Result.recovered;
+    float_of_int r.Experiment.Result.recovery_authenticators
   in
   let predicted p n =
     (Complexity.evaluate p ~n ~u:(1 lsl 20) ~c:1024 ~lambda:256)
@@ -104,10 +104,10 @@ let test_equivocation_cannot_violate_safety () =
     (fun (name, proto) ->
       if name <> "twophase-insecure" then
         let sc = Catalogue.equivocating_leader in
-        let r = Experiment.run_scenario ~params:(params_for sc) proto sc in
+        let r = Experiment.run proto ~params:(params_for sc) ~warmup:0. sc in
         Alcotest.(check bool)
           (name ^ ": equivocating leader cannot violate safety")
-          true r.Experiment.agreement)
+          true r.Experiment.Result.agreement)
     (Registry.all ())
 
 (* The known counterexample (Figure 2, Section IV-B): two-phase HotStuff
@@ -163,10 +163,11 @@ let test_fault_events_traced () =
   let sc = Catalogue.crash_recover in
   let obs = Marlin_obs.Run.create ~trace:true ~n:4 () in
   let r =
-    Experiment.run_scenario ~params:(params_for sc) ~obs
-      (Registry.find_exn "marlin") sc
+    Experiment.run (Registry.find_exn "marlin")
+      ~params:{ (params_for sc) with Cluster.obs = Some obs }
+      ~warmup:0. sc
   in
-  Alcotest.(check bool) "traced run still recovers" true r.Experiment.recovered;
+  Alcotest.(check bool) "traced run still recovers" true r.Experiment.Result.recovered;
   let faults =
     List.filter_map
       (fun (e : Marlin_obs.Trace.event) ->
@@ -197,6 +198,78 @@ let test_fault_events_traced () =
   in
   Alcotest.(check int) "fault-injected events survive the JSONL round trip" 2
     (List.length round_tripped)
+
+(* ---------- Propose_only_to: the unhappy view change's divergence ---------- *)
+
+let test_propose_only_to () =
+  let module Cl = Cluster.Make (Marlin_core.Marlin) in
+  let obs = Marlin_obs.Run.create ~trace:true ~n:4 () in
+  let t = Cl.create { (Cluster.params_for_f 1) with Cluster.obs = Some obs } in
+  (* every accepted send: (time, src, dst, is it a PROPOSE?) *)
+  let sends = ref [] in
+  Marlin_sim.Netsim.on_send (Cl.net t)
+    (Some
+       (fun ~src ~dst ~size:_ (m : Message.t) ->
+         let propose =
+           match m.Message.payload with Message.Propose _ -> true | _ -> false
+         in
+         sends := (Marlin_sim.Sim.now (Cl.sim t), src, dst, propose) :: !sends));
+  let from = 1.0 in
+  Cl.apply_scenario t
+    (Scenario.make ~name:"propose-only-to" ~info:"leader 0 proposes to 1 only"
+       ~steps:
+         [ Scenario.at from (Scenario.Propose_only_to { leader = 0; dst = 1 }) ]
+       ~settle_at:from ~run_for:1.3 ());
+  Cl.run t ~until:1.3;
+  let before, during = List.partition (fun (time, _, _, _) -> time < from) !sends in
+  let count p l = List.length (List.filter p l) in
+  let proposals_to d =
+    count (fun (_, src, dst, propose) -> src = 0 && dst = d && propose)
+  in
+  Alcotest.(check bool) "before: the leader proposes to replica 2" true
+    (proposals_to 2 before > 0);
+  Alcotest.(check bool) "during: replica 1 still receives proposals" true
+    (proposals_to 1 during > 0);
+  Alcotest.(check int) "during: replica 2 receives none" 0 (proposals_to 2 during);
+  Alcotest.(check int) "during: replica 3 receives none" 0 (proposals_to 3 during);
+  Alcotest.(check bool) "during: the leader's other messages flow" true
+    (count (fun (_, src, _, propose) -> src = 0 && not propose) during > 0);
+  Alcotest.(check bool) "during: messages to the leader flow" true
+    (count (fun (_, _, dst, _) -> dst = 0) during > 0);
+  let injected =
+    List.filter_map
+      (fun (e : Marlin_obs.Trace.event) ->
+        match e.Marlin_obs.Trace.kind with
+        | Marlin_obs.Trace.Fault_injected { label } ->
+            Some (e.Marlin_obs.Trace.time, e.Marlin_obs.Trace.replica, label)
+        | _ -> None)
+      (Marlin_obs.Run.trace_events obs)
+  in
+  Alcotest.(check (list (triple (float 1e-9) int string)))
+    "traced at its time, with the leader as target and its label"
+    [ (from, 0, "propose-only-to 0->1") ]
+    injected
+
+(* ---------- a view change that never completes ---------- *)
+
+(* With the leader and a second replica crashed, n = 4 has no quorum left:
+   the view change starts and never ends. Its latency is -1, as a
+   recovery that never happens is, and the record stays valid JSON. *)
+let test_stuck_view_change_renders () =
+  let sc =
+    Scenario.make ~name:"no-quorum" ~info:"crash the leader and replica 2"
+      ~steps:[ Scenario.at 2.0 (Scenario.Crash 0); Scenario.at 2.0 (Scenario.Crash 2) ]
+      ~settle_at:2.0 ~run_for:8.0 ()
+  in
+  let r = run_sc "marlin" sc in
+  Alcotest.(check (float 0.)) "vc_latency is -1" (-1.)
+    r.Experiment.Result.vc_latency;
+  let json = Experiment.Result.view_change_to_json r in
+  match Marlin_obs.Json_lite.parse json with
+  | Error e -> Alcotest.failf "not valid JSON (%s): %s" e json
+  | Ok v ->
+      Alcotest.(check (option (float 0.))) "reads back -1" (Some (-1.))
+        (Marlin_obs.Json_lite.float_at [ "vc_latency" ] v)
 
 (* ---------- random crash/recover churn (qcheck) ---------- *)
 
@@ -235,7 +308,7 @@ let prop_churn_preserves_agreement =
     ~count:12 churn_gen (fun churn ->
       let sc = scenario_of_churn churn in
       let r = run_sc "marlin" sc in
-      r.Experiment.agreement)
+      r.Experiment.Result.agreement)
 
 let suite =
   [
@@ -251,6 +324,10 @@ let suite =
       test_insecure_counterexample_reproduces );
     ("fault steps land in the trace + JSONL round trip", `Quick,
       test_fault_events_traced );
+    ("Propose_only_to: only the named replica gets PROPOSE, traced", `Quick,
+      test_propose_only_to );
+    ("a stuck view change renders vc_latency -1 as JSON", `Quick,
+      test_stuck_view_change_renders );
     QCheck_alcotest.to_alcotest prop_churn_preserves_agreement;
   ]
 

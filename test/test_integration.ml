@@ -5,6 +5,7 @@
 module C = Marlin_core.Consensus_intf
 module Cluster = Marlin_runtime.Cluster
 module Experiment = Marlin_runtime.Experiment
+module Catalogue = Marlin_faults.Catalogue
 module Netsim = Marlin_sim.Netsim
 
 let marlin : C.protocol = (module Marlin_core.Chained_marlin)
@@ -21,76 +22,96 @@ let small_params ?(clients = 16) () =
     Cluster.seed = 7;
   }
 
+let view_change proto ~params ~unhappy =
+  Experiment.run proto ~params ~warmup:0.
+    (Catalogue.view_change ~unhappy ~base_timeout:params.Cluster.base_timeout)
+
 let test_marlin_cluster_commits () =
-  let r = Experiment.run_throughput marlin ~params:(small_params ()) ~warmup:1.0 ~duration:3.0 in
-  Alcotest.(check bool) "agreement" true r.Experiment.agreement;
-  Alcotest.(check bool) "throughput positive" true (r.Experiment.throughput > 0.);
+  let r =
+    Experiment.run marlin ~params:(small_params ()) ~warmup:1.0
+      (Catalogue.steady ~run_for:4.0 ())
+  in
+  Alcotest.(check bool) "agreement" true r.Experiment.Result.agreement;
+  Alcotest.(check bool) "throughput positive" true (r.Experiment.Result.throughput > 0.);
   (* 16 closed-loop clients, RTT ~ 80ms+: tens of ops/s at least. *)
-  Alcotest.(check bool) "reasonable throughput" true (r.Experiment.throughput > 30.);
+  Alcotest.(check bool) "reasonable throughput" true (r.Experiment.Result.throughput > 30.);
   (* End-to-end latency at light load: above one network RTT, below 1s. *)
   Alcotest.(check bool) "latency sane" true
-    (r.Experiment.latency.Marlin_analysis.Stats.mean > 0.08
-    && r.Experiment.latency.Marlin_analysis.Stats.mean < 1.0)
+    (r.Experiment.Result.latency.Marlin_analysis.Stats.mean > 0.08
+    && r.Experiment.Result.latency.Marlin_analysis.Stats.mean < 1.0)
 
 let test_hotstuff_cluster_commits () =
-  let r = Experiment.run_throughput hotstuff ~params:(small_params ()) ~warmup:1.0 ~duration:3.0 in
-  Alcotest.(check bool) "agreement" true r.Experiment.agreement;
-  Alcotest.(check bool) "throughput positive" true (r.Experiment.throughput > 30.)
+  let r =
+    Experiment.run hotstuff ~params:(small_params ()) ~warmup:1.0
+      (Catalogue.steady ~run_for:4.0 ())
+  in
+  Alcotest.(check bool) "agreement" true r.Experiment.Result.agreement;
+  Alcotest.(check bool) "throughput positive" true (r.Experiment.Result.throughput > 30.)
 
 (* The headline comparison: two phases beat three. At light load Marlin's
    client latency must be strictly lower, and its throughput at a fixed
    client count strictly higher. *)
 let test_marlin_beats_hotstuff () =
   let params = small_params ~clients:32 () in
-  let m = Experiment.run_throughput marlin ~params ~warmup:1.0 ~duration:4.0 in
-  let h = Experiment.run_throughput hotstuff ~params ~warmup:1.0 ~duration:4.0 in
+  let m =
+    Experiment.run marlin ~params ~warmup:1.0 (Catalogue.steady ~run_for:5.0 ())
+  in
+  let h =
+    Experiment.run hotstuff ~params ~warmup:1.0
+      (Catalogue.steady ~run_for:5.0 ())
+  in
   let open Marlin_analysis.Stats in
   Alcotest.(check bool) "Marlin latency lower" true
-    (m.Experiment.latency.mean < h.Experiment.latency.mean);
+    (m.Experiment.Result.latency.mean < h.Experiment.Result.latency.mean);
   Alcotest.(check bool) "Marlin throughput higher" true
-    (m.Experiment.throughput > h.Experiment.throughput)
+    (m.Experiment.Result.throughput > h.Experiment.Result.throughput)
 
 let test_basic_protocols_in_cluster () =
   List.iter
     (fun proto ->
-      let r = Experiment.run_throughput proto ~params:(small_params ()) ~warmup:1.0 ~duration:2.0 in
-      Alcotest.(check bool) "agreement" true r.Experiment.agreement;
-      Alcotest.(check bool) "commits" true (r.Experiment.throughput > 0.))
+      let r =
+        Experiment.run proto ~params:(small_params ()) ~warmup:1.0
+          (Catalogue.steady ~run_for:3.0 ())
+      in
+      Alcotest.(check bool) "agreement" true r.Experiment.Result.agreement;
+      Alcotest.(check bool) "commits" true (r.Experiment.Result.throughput > 0.))
     [ basic_marlin; basic_hotstuff ]
 
 let test_view_change_recovers () =
   let params = small_params () in
-  let r = Experiment.run_view_change marlin ~params ~force_unhappy:false in
+  let r = view_change marlin ~params ~unhappy:false in
   Alcotest.(check bool) "view change completed" true
-    (Float.is_finite r.Experiment.vc_latency);
-  Alcotest.(check bool) "latency positive" true (r.Experiment.vc_latency > 0.);
-  Alcotest.(check bool) "sub-second at f=1" true (r.Experiment.vc_latency < 1.0);
-  Alcotest.(check bool) "happy path (no pre-prepare)" false r.Experiment.unhappy
+    (r.Experiment.Result.vc_latency >= 0.);
+  Alcotest.(check bool) "latency positive" true (r.Experiment.Result.vc_latency > 0.);
+  Alcotest.(check bool) "sub-second at f=1" true (r.Experiment.Result.vc_latency < 1.0);
+  Alcotest.(check bool) "happy path (no pre-prepare)" false r.Experiment.Result.unhappy
 
 let test_forced_unhappy_view_change () =
   let params = small_params () in
-  let r = Experiment.run_view_change marlin ~params ~force_unhappy:true in
+  let r = view_change marlin ~params ~unhappy:true in
   Alcotest.(check bool) "view change completed" true
-    (Float.is_finite r.Experiment.vc_latency);
-  Alcotest.(check bool) "unhappy path ran" true r.Experiment.unhappy;
-  let happy = Experiment.run_view_change marlin ~params ~force_unhappy:false in
+    (r.Experiment.Result.vc_latency >= 0.);
+  Alcotest.(check bool) "unhappy path ran" true r.Experiment.Result.unhappy;
+  let happy = view_change marlin ~params ~unhappy:false in
   Alcotest.(check bool) "unhappy slower than happy" true
-    (r.Experiment.vc_latency > happy.Experiment.vc_latency)
+    (r.Experiment.Result.vc_latency > happy.Experiment.Result.vc_latency)
 
 let test_hotstuff_view_change () =
-  let r = Experiment.run_view_change hotstuff ~params:(small_params ()) ~force_unhappy:false in
-  Alcotest.(check bool) "completed" true (Float.is_finite r.Experiment.vc_latency);
-  let m = Experiment.run_view_change marlin ~params:(small_params ()) ~force_unhappy:false in
+  let r = view_change hotstuff ~params:(small_params ()) ~unhappy:false in
+  Alcotest.(check bool) "completed" true (r.Experiment.Result.vc_latency >= 0.);
+  let m = view_change marlin ~params:(small_params ()) ~unhappy:false in
   Alcotest.(check bool) "Marlin happy VC faster than HotStuff" true
-    (m.Experiment.vc_latency < r.Experiment.vc_latency)
+    (m.Experiment.Result.vc_latency < r.Experiment.Result.vc_latency)
 
 let test_rotating_leaders () =
   let params =
     { (small_params ()) with Cluster.rotation = Some 0.5; base_timeout = 0.4 }
   in
-  let r = Experiment.run_throughput marlin ~params ~warmup:1.0 ~duration:4.0 in
-  Alcotest.(check bool) "agreement under rotation" true r.Experiment.agreement;
-  Alcotest.(check bool) "commits under rotation" true (r.Experiment.throughput > 0.)
+  let r =
+    Experiment.run marlin ~params ~warmup:1.0 (Catalogue.steady ~run_for:5.0 ())
+  in
+  Alcotest.(check bool) "agreement under rotation" true r.Experiment.Result.agreement;
+  Alcotest.(check bool) "commits under rotation" true (r.Experiment.Result.throughput > 0.)
 
 let test_rotation_under_crashes () =
   let params =
@@ -103,26 +124,31 @@ let test_rotation_under_crashes () =
       seed = 11;
     }
   in
-  let healthy = Experiment.run_with_crashes marlin ~params ~crashed:[] ~warmup:1.0 ~duration:5.0 in
-  let faulty =
-    Experiment.run_with_crashes marlin ~params ~crashed:[ 9 ] ~warmup:1.0 ~duration:5.0
+  let healthy =
+    Experiment.run marlin ~params ~warmup:1.0 (Catalogue.steady ~run_for:6.0 ())
   in
-  Alcotest.(check bool) "healthy commits" true (healthy.Experiment.throughput > 0.);
+  let faulty =
+    Experiment.run marlin ~params ~warmup:1.0
+      (Catalogue.steady ~crashed:[ 9 ] ~run_for:6.0 ())
+  in
+  Alcotest.(check bool) "healthy commits" true (healthy.Experiment.Result.throughput > 0.);
   Alcotest.(check bool) "faulty cluster still commits" true
-    (faulty.Experiment.throughput > 0.);
+    (faulty.Experiment.Result.throughput > 0.);
   Alcotest.(check bool) "crashes degrade throughput" true
-    (faulty.Experiment.throughput < healthy.Experiment.throughput)
+    (faulty.Experiment.Result.throughput < healthy.Experiment.Result.throughput)
 
 let test_noop_faster () =
   let params = small_params ~clients:64 () in
-  let with_payload = Experiment.run_throughput marlin ~params ~warmup:1.0 ~duration:3.0 in
+  let with_payload =
+    Experiment.run marlin ~params ~warmup:1.0 (Catalogue.steady ~run_for:4.0 ())
+  in
   let noop =
-    Experiment.run_throughput marlin
+    Experiment.run marlin
       ~params:{ params with Cluster.op_size = 0; reply_size = 0 }
-      ~warmup:1.0 ~duration:3.0
+      ~warmup:1.0 (Catalogue.steady ~run_for:4.0 ())
   in
   Alcotest.(check bool) "no-op at least as fast" true
-    (noop.Experiment.throughput >= with_payload.Experiment.throughput *. 0.95)
+    (noop.Experiment.Result.throughput >= with_payload.Experiment.Result.throughput *. 0.95)
 
 (* Section II of the paper: client-to-client latency is 5 hops for PBFT,
    7 for two-phase HotStuff variants (Marlin), 9 for HotStuff. At light
@@ -130,8 +156,9 @@ let test_noop_faster () =
 let test_latency_hop_ordering () =
   let params = small_params ~clients:4 () in
   let lat proto =
-    (Experiment.run_throughput proto ~params ~warmup:1.0 ~duration:3.0)
-      .Experiment.latency.Marlin_analysis.Stats.mean
+    (Experiment.run proto ~params ~warmup:1.0
+      (Catalogue.steady ~run_for:4.0 ()))
+      .Experiment.Result.latency.Marlin_analysis.Stats.mean
   in
   let p = lat pbft and m = lat basic_marlin and h = lat basic_hotstuff in
   Alcotest.(check bool) "PBFT < Marlin" true (p < m);
@@ -142,21 +169,27 @@ let test_latency_hop_ordering () =
     (m /. p < 2.0 && h /. m < 2.0)
 
 let test_pbft_cluster () =
-  let r = Experiment.run_throughput pbft ~params:(small_params ()) ~warmup:1.0 ~duration:3.0 in
-  Alcotest.(check bool) "agreement" true r.Experiment.agreement;
-  Alcotest.(check bool) "throughput positive" true (r.Experiment.throughput > 30.)
+  let r =
+    Experiment.run pbft ~params:(small_params ()) ~warmup:1.0
+      (Catalogue.steady ~run_for:4.0 ())
+  in
+  Alcotest.(check bool) "agreement" true r.Experiment.Result.agreement;
+  Alcotest.(check bool) "throughput positive" true (r.Experiment.Result.throughput > 30.)
 
 let test_sweep_and_peak () =
   let results =
-    Experiment.sweep marlin ~params:(small_params ()) ~warmup:1.0 ~duration:2.0
-      ~client_counts:[ 4; 16; 64 ]
+    List.map
+      (fun clients ->
+        Experiment.run marlin ~params:(small_params ~clients ()) ~warmup:1.0
+          (Catalogue.steady ~run_for:3.0 ()))
+      [ 4; 16; 64 ]
   in
   Alcotest.(check int) "three points" 3 (List.length results);
   let peak, _within = Experiment.peak results in
   Alcotest.(check bool) "peak at higher client count" true
-    (peak.Experiment.clients >= 16);
+    (peak.Experiment.Result.clients >= 16);
   (* more clients, more throughput (far from saturation at this scale) *)
-  let tputs = List.map (fun r -> r.Experiment.throughput) results in
+  let tputs = List.map (fun r -> r.Experiment.Result.throughput) results in
   Alcotest.(check bool) "monotone growth" true
     (List.sort compare tputs = tputs)
 
@@ -169,9 +202,11 @@ let test_larger_cluster () =
       Cluster.seed = 3;
     }
   in
-  let r = Experiment.run_throughput marlin ~params ~warmup:1.0 ~duration:3.0 in
-  Alcotest.(check bool) "n=10 agreement" true r.Experiment.agreement;
-  Alcotest.(check bool) "n=10 commits" true (r.Experiment.throughput > 0.)
+  let r =
+    Experiment.run marlin ~params ~warmup:1.0 (Catalogue.steady ~run_for:4.0 ())
+  in
+  Alcotest.(check bool) "n=10 agreement" true r.Experiment.Result.agreement;
+  Alcotest.(check bool) "n=10 commits" true (r.Experiment.Result.throughput > 0.)
 
 let suite =
   [

@@ -134,18 +134,19 @@ let test_marlin_same_schedule_recovers () =
    progress is required — but once Netsim.Fault.heal fires, commits must
    resume, and nothing seen in between may violate agreement. *)
 let run_scenario_for name sc =
-  Marlin_runtime.Experiment.run_scenario
+  Marlin_runtime.Experiment.run
     (Marlin_runtime.Registry.find_exn name)
-    sc
+    ~params:(Marlin_runtime.Cluster.params_for_f sc.Marlin_faults.Scenario.f)
+    ~warmup:0. sc
 
 let test_liveness_resumes_after_heal () =
   List.iter
     (fun name ->
       let r = run_scenario_for name Marlin_faults.Catalogue.partition_heal in
       Alcotest.(check bool) (name ^ ": commits resume after heal") true
-        r.Marlin_runtime.Experiment.recovered;
+        r.Marlin_runtime.Experiment.Result.recovered;
       Alcotest.(check bool) (name ^ ": agreement across the partition") true
-        r.Marlin_runtime.Experiment.agreement)
+        r.Marlin_runtime.Experiment.Result.agreement)
     [ "marlin"; "hotstuff" ]
 
 let test_liveness_resumes_after_gst () =
@@ -153,9 +154,9 @@ let test_liveness_resumes_after_gst () =
     (fun name ->
       let r = run_scenario_for name Marlin_faults.Catalogue.pre_gst_churn in
       Alcotest.(check bool) (name ^ ": commits resume after GST") true
-        r.Marlin_runtime.Experiment.recovered;
+        r.Marlin_runtime.Experiment.Result.recovered;
       Alcotest.(check bool) (name ^ ": agreement despite pre-GST loss") true
-        r.Marlin_runtime.Experiment.agreement)
+        r.Marlin_runtime.Experiment.Result.agreement)
     [ "marlin"; "hotstuff" ]
 
 let suite =

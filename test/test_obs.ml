@@ -27,7 +27,10 @@ let observed_run ?(trace = false) proto =
   let params =
     { (Cluster.params_for_f ~workload:(Marlin_workload.Workload.closed_loop ~clients:1) 1) with Cluster.seed = 9; obs = Some obs }
   in
-  let r = Experiment.run_throughput proto ~params ~warmup:0.5 ~duration:6.0 in
+  let r =
+    Experiment.run proto ~params ~warmup:0.5
+      (Marlin_faults.Catalogue.steady ~run_for:6.5 ())
+  in
   (obs, r)
 
 (* the accounting size the cluster uses for signatures on the wire *)
@@ -37,7 +40,7 @@ let sig_bytes = Cost_model.combined_size Cost_model.ecdsa_group ~n:4 ~shares:3
 
 let test_trace_ordering () =
   let obs, r = observed_run ~trace:true basic_marlin in
-  Alcotest.(check bool) "agreement" true r.Experiment.agreement;
+  Alcotest.(check bool) "agreement" true r.Experiment.Result.agreement;
   let events = Obs.Run.trace_events obs in
   Alcotest.(check bool) "trace nonempty" true (List.length events > 0);
   let rec monotone = function
@@ -85,7 +88,7 @@ let test_counters_reconcile () =
   List.iter
     (fun (name, proto, cproto) ->
       let obs, r = observed_run proto in
-      Alcotest.(check bool) (name ^ " agreement") true r.Experiment.agreement;
+      Alcotest.(check bool) (name ^ " agreement") true r.Experiment.Result.agreement;
       let metrics = Obs.Run.metrics obs in
       let blocks = Obs.Metrics.blocks_committed metrics.(0) in
       Alcotest.(check bool) (name ^ " commits blocks") true (blocks > 5);

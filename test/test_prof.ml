@@ -210,9 +210,11 @@ let test_critical_path_analysis () =
 (* ---------- real runs: the paper's phase counts, exactly ---------- *)
 
 let instrumented proto =
-  let params = { (Cluster.params_for_f ~workload:(Marlin_workload.Workload.closed_loop ~clients:1) 1) with Cluster.seed = 9 } in
-  Experiment.run_instrumented proto ~params ~warmup:0.5 ~duration:4.0
-    ~trace:true ()
+  let obs = Obs.Run.create ~trace:true ~n:4 () in
+  let params = { (Cluster.params_for_f ~workload:(Marlin_workload.Workload.closed_loop ~clients:1) 1) with Cluster.seed = 9; obs = Some obs } in
+  ( Experiment.run proto ~params ~warmup:0.5
+      (Marlin_faults.Catalogue.steady ~run_for:4.5 ()),
+    obs )
 
 (* Marlin's critical path carries exactly 2 quorum-wait segments per
    commit; HotStuff's carries 3 — the protocols' phase counts, measured
@@ -221,7 +223,7 @@ let test_phase_counts () =
   List.iter
     (fun (name, proto, waits) ->
       let r, obs = instrumented proto in
-      Alcotest.(check bool) (name ^ " agreement") true r.Experiment.agreement;
+      Alcotest.(check bool) (name ^ " agreement") true r.Experiment.Result.agreement;
       let cp = Experiment.critical_path ~label:name obs in
       Alcotest.(check bool) (name ^ " commits seen") true
         (cp.Obs.Critical_path.commits > 5);

@@ -382,21 +382,15 @@ let test_cluster_crash_plumbing () =
 
 let test_peak_selection () =
   let mk clients throughput =
-    {
-      Experiment.clients;
-      throughput;
-      latency = Marlin_analysis.Stats.summarize [];
-      agreement = true;
-      executed = 0;
-    }
+    { Experiment.Result.zero with Experiment.Result.clients; throughput }
   in
   let results = [ mk 4 100.; mk 16 400.; mk 64 380. ] in
   let best, cap = Experiment.peak results in
-  Alcotest.(check int) "peak picks the max" 16 best.Experiment.clients;
+  Alcotest.(check int) "peak picks the max" 16 best.Experiment.Result.clients;
   Alcotest.(check bool) "no cap always qualifies" true (cap = `Within_cap);
   (* an unmeetable cap falls back to the overall max, and says so *)
   let fallback, cap' = Experiment.peak ~latency_cap:(-1.0) results in
-  Alcotest.(check int) "fallback is still the max" 16 fallback.Experiment.clients;
+  Alcotest.(check int) "fallback is still the max" 16 fallback.Experiment.Result.clients;
   Alcotest.(check bool) "fallback is flagged" true (cap' = `Fallback);
   Alcotest.check_raises "empty peak raises"
     (Invalid_argument "Experiment.peak: no results") (fun () ->
@@ -407,12 +401,21 @@ let test_sweep_shape () =
     (module Marlin_core.Chained_marlin)
   in
   let results =
-    Experiment.sweep marlin
-      ~params:{ (Cluster.params_for_f 1) with Cluster.seed = 2 }
-      ~warmup:0.5 ~duration:1.5 ~client_counts:[ 8; 32 ]
+    List.map
+      (fun clients ->
+        Experiment.run marlin
+          ~params:
+            {
+              (Cluster.params_for_f 1) with
+              Cluster.seed = 2;
+              workload = Workload.closed_loop ~clients;
+            }
+          ~warmup:0.5
+          (Marlin_faults.Catalogue.steady ~run_for:2.0 ()))
+      [ 8; 32 ]
   in
   Alcotest.(check (list int)) "client counts preserved" [ 8; 32 ]
-    (List.map (fun r -> r.Experiment.clients) results)
+    (List.map (fun r -> r.Experiment.Result.clients) results)
 
 let suite =
   [

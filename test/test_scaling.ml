@@ -8,9 +8,10 @@
      NEW-VIEW carries O(n) view-change messages of O(n) prepared
      certificates each), diverging clearly from Marlin's line.
 
-   Measurement uses [Experiment.run_view_change] — crash the leader, time
-   from timeout escalation to the next commit, count the consensus traffic
-   in between — the same probe as the [bench scaling] target.  PBFT stops
+   Measurement runs [Catalogue.view_change] through [Experiment.run] —
+   crash the leader, time from timeout escalation to the next commit,
+   count the consensus traffic in between — the same probe as the
+   [bench scaling] target.  PBFT stops
    at n = 34 because verifying its O(n^2) votes per block costs O(n^3)
    wall time; superlinearity is unambiguous well before that. *)
 
@@ -32,14 +33,16 @@ let params_for n =
 
 let measure name n =
   let r =
-    Experiment.run_view_change (Registry.find_exn name) ~params:(params_for n)
-      ~force_unhappy:false
+    let params = params_for n in
+    Experiment.run (Registry.find_exn name) ~params ~warmup:0.
+      (Marlin_faults.Catalogue.view_change ~unhappy:false
+         ~base_timeout:params.Cluster.base_timeout)
   in
   Alcotest.(check bool)
     (Printf.sprintf "%s n=%d view change completed" name n)
     true
-    (Float.is_finite r.Experiment.vc_latency && r.Experiment.vc_latency > 0.);
-  (float_of_int n, float_of_int r.Experiment.vc_authenticators)
+    (r.Experiment.Result.vc_latency > 0.);
+  (float_of_int n, float_of_int r.Experiment.Result.vc_authenticators)
 
 let sweep name ns = List.map (measure name) ns
 

@@ -217,14 +217,22 @@ let open_params =
     batch_max = 500;
   }
 
-let windowed_json () =
-  let _r, obs =
-    Experiment.run_attributed marlin ~params:open_params ~warmup:0.5
-      ~duration:1.0 ~window:0.25 ()
+(* a traced run with 0.25 s windows: the live feeds fill them, the run
+   folds the critical-path segments in *)
+let windowed_run () =
+  let obs = Obs.Run.create ~trace:true ~windows:0.25 ~n:4 () in
+  let _r =
+    Experiment.run marlin
+      ~params:{ open_params with Cluster.obs = Some obs }
+      ~warmup:0.5
+      (Marlin_faults.Catalogue.steady ~run_for:1.5 ())
   in
-  match Obs.Run.timeseries obs with
+  obs
+
+let windowed_json () =
+  match Obs.Run.timeseries (windowed_run ()) with
   | Some ts -> Timeseries.to_json ts
-  | None -> Alcotest.fail "run_attributed did not attach a timeseries"
+  | None -> Alcotest.fail "the windowed run did not attach a timeseries"
 
 let test_same_seed_byte_identical () =
   let a = windowed_json () and b = windowed_json () in
@@ -233,12 +241,10 @@ let test_same_seed_byte_identical () =
   Alcotest.(check bool) "some window content" true (String.length a > 100)
 
 let test_live_run_conserves () =
-  let _r, obs =
-    Experiment.run_attributed marlin ~params:open_params ~warmup:0.5
-      ~duration:1.0 ~window:0.25 ()
-  in
   let ts =
-    match Obs.Run.timeseries obs with Some ts -> ts | None -> assert false
+    match Obs.Run.timeseries (windowed_run ()) with
+    | Some ts -> ts
+    | None -> assert false
   in
   let ws = Timeseries.windows ts in
   Alcotest.(check bool) "windows exist" true (List.length ws > 3);

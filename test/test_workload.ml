@@ -1,5 +1,5 @@
 (* Tests for the open-loop workload engine: arrival-process constructors
-   and samplers, the typed Workload.t, the run_open_loop driver with its
+   and samplers, the typed Workload.t, open-loop experiment runs with their
    drop accounting, the knee finder, and end-to-end determinism. *)
 
 module Cluster = Marlin_runtime.Cluster
@@ -106,7 +106,7 @@ let test_with_mean_rate () =
     (Some 250.)
     (Workload.offered_rate (Workload.with_rate w ~rate:250.))
 
-(* ---------- run_open_loop ---------- *)
+(* ---------- open-loop runs ---------- *)
 
 let open_params ?(capacity = 100_000) ?(rate = 400.) () =
   {
@@ -120,57 +120,56 @@ let open_params ?(capacity = 100_000) ?(rate = 400.) () =
     mempool = Mempool.Config.make ~capacity ();
   }
 
+let run_open ~params ~warmup ~duration =
+  Experiment.run marlin ~params ~warmup
+    (Marlin_faults.Catalogue.steady ~run_for:(warmup +. duration) ())
+
 let test_open_loop_run () =
-  let r =
-    Experiment.run_open_loop marlin ~params:(open_params ()) ~warmup:1.0
-      ~duration:4.0
-  in
-  Alcotest.(check bool) "agreement" true r.Experiment.agreement;
-  Alcotest.(check bool) "arrivals generated" true (r.Experiment.generated > 0);
-  Alcotest.(check bool) "goodput positive" true (r.Experiment.goodput > 0.);
+  let r = run_open ~params:(open_params ()) ~warmup:1.0 ~duration:4.0 in
+  Alcotest.(check bool) "agreement" true r.Experiment.Result.agreement;
+  Alcotest.(check bool) "arrivals generated" true (r.Experiment.Result.generated > 0);
+  Alcotest.(check bool) "goodput positive" true (r.Experiment.Result.goodput > 0.);
   (* uncontended: offered ~400/s against a ~15k/s cluster *)
   Alcotest.(check int) "no drops at light load" 0
-    (r.Experiment.shed + r.Experiment.rejected);
-  Alcotest.(check bool) "drop rate zero" true (r.Experiment.drop_rate < 1e-12);
+    (r.Experiment.Result.shed + r.Experiment.Result.rejected);
+  Alcotest.(check bool) "drop rate zero" true (r.Experiment.Result.drop_rate < 1e-12);
   Alcotest.(check int) "accounting: sent + shed = generated"
-    r.Experiment.generated
-    (r.Experiment.sent + r.Experiment.shed);
+    r.Experiment.Result.generated
+    (r.Experiment.Result.sent + r.Experiment.Result.shed);
   Alcotest.(check bool) "goodput tracks offered at light load" true
-    (Float.abs (r.Experiment.goodput -. r.Experiment.offered)
-    < 0.10 *. r.Experiment.offered);
+    (Float.abs (r.Experiment.Result.goodput -. r.Experiment.Result.offered)
+    < 0.10 *. r.Experiment.Result.offered);
   Alcotest.(check bool) "latency tail ordered" true
-    (r.Experiment.latency.Stats.p50 <= r.Experiment.latency.Stats.p99
-    && r.Experiment.latency.Stats.p99 <= r.Experiment.latency.Stats.p999)
+    (r.Experiment.Result.latency.Stats.p50 <= r.Experiment.Result.latency.Stats.p99
+    && r.Experiment.Result.latency.Stats.p99 <= r.Experiment.Result.latency.Stats.p999)
 
 let test_open_loop_overload_drops () =
   (* a tiny pool under 30x the sustainable load must shed, and the pool
      bound must hold *)
   let capacity = 50 in
   let r =
-    Experiment.run_open_loop marlin
-      ~params:(open_params ~capacity ~rate:20_000. ())
-      ~warmup:1.0 ~duration:3.0
+    run_open ~params:(open_params ~capacity ~rate:20_000. ()) ~warmup:1.0
+      ~duration:3.0
   in
   Alcotest.(check bool) "drops past saturation" true
-    (r.Experiment.drop_rate > 0.);
+    (r.Experiment.Result.drop_rate > 0.);
   Alcotest.(check bool) "occupancy bounded by capacity" true
-    (r.Experiment.peak_occupancy <= capacity);
+    (r.Experiment.Result.peak_occupancy <= capacity);
   Alcotest.(check bool) "goodput plateaus below offered" true
-    (r.Experiment.goodput < r.Experiment.offered)
+    (r.Experiment.Result.goodput < r.Experiment.Result.offered)
 
+(* open-loop measurement of a closed-loop cluster is refused *)
 let test_open_loop_requires_open () =
+  let module Cl = Cluster.Make (Marlin_core.Chained_marlin) in
+  let t = Cl.create (Cluster.params_for_f 1) in
   Alcotest.(check bool) "closed-loop params rejected" true
-    (raises_invalid (fun () ->
-         Experiment.run_open_loop marlin
-           ~params:(Cluster.params_for_f 1)
-           ~warmup:0.5 ~duration:1.0))
+    (raises_invalid (fun () -> Cl.open_loop_reset_window t)
+    && raises_invalid (fun () -> Cl.open_loop_stats t))
 
 let test_open_loop_deterministic () =
   let run () =
     Experiment.Result.open_loop_to_json
-      (Experiment.run_open_loop marlin
-         ~params:(open_params ~rate:2_000. ())
-         ~warmup:1.0 ~duration:3.0)
+      (run_open ~params:(open_params ~rate:2_000. ()) ~warmup:1.0 ~duration:3.0)
   in
   Alcotest.(check string) "same seed, byte-identical record" (run ()) (run ())
 
@@ -179,17 +178,11 @@ let test_open_loop_deterministic () =
 let test_knee () =
   let mk offered goodput p99 =
     {
-      Experiment.workload = "w";
+      Experiment.Result.zero with
+      Experiment.Result.workload = "w";
       offered;
       goodput;
-      generated = 0;
-      sent = 0;
-      shed = 0;
-      rejected = 0;
-      drop_rate = 0.;
-      peak_occupancy = 0;
       latency = { (Stats.summarize []) with Stats.p99 };
-      agreement = true;
     }
   in
   (* the classic shape: goodput rises, then saturates as p99 blows up *)
@@ -198,13 +191,13 @@ let test_knee () =
   in
   let k, cap = Experiment.knee curve in
   Alcotest.(check (float 1e-9)) "knee at the last sustainable point" 198.
-    k.Experiment.goodput;
+    k.Experiment.Result.goodput;
   Alcotest.(check bool) "sustainable" true (cap = `Within_cap);
   let k', cap' = Experiment.knee ~latency_cap:0.1 curve in
   Alcotest.(check bool) "all saturated -> fallback flagged" true
     (cap' = `Fallback);
   Alcotest.(check (float 1e-9)) "fallback is the overall max" 310.
-    k'.Experiment.goodput;
+    k'.Experiment.Result.goodput;
   Alcotest.(check bool) "empty raises" true
     (raises_invalid (fun () -> Experiment.knee []))
 
