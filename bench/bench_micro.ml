@@ -40,12 +40,37 @@ let resident_queue =
   done;
   q
 
+(* A pool that has committed 100k operations (about what each replica
+   executes in a perfbench churn-n16 run), and 1000 of them spread over
+   its table: committing one again is a single probe into that table. *)
+let committed_pool, recommits =
+  let m = Marlin_runtime.Mempool.create () in
+  let op i = Operation.make ~client:(i mod 997) ~seq:i ~body:"" in
+  for i = 0 to 99_999 do
+    ignore (Marlin_runtime.Mempool.commit m (op i))
+  done;
+  (m, Array.init 1000 (fun i -> op (i * 100)))
+
+let vote_tag_key = Hmac.prepare "replica 3 secret"
+
+let vote_payload =
+  Qc.vote_payload ~phase:Qc.Prepare ~view:42
+    {
+      Qc.digest = Block.digest sample_block;
+      block_view = 1;
+      height = 1;
+      pview = 0;
+      is_virtual = false;
+    }
+
 let tests =
   [
     Test.make ~name:"sha256 1KiB" (Staged.stage (fun () -> Sha256.string payload_1k));
     Test.make ~name:"sha256 64KiB" (Staged.stage (fun () -> Sha256.string payload_64k));
     Test.make ~name:"hmac-sha256 1KiB"
       (Staged.stage (fun () -> Hmac.mac ~key:"k" payload_1k));
+    Test.make ~name:"hmac vote tag"
+      (Staged.stage (fun () -> Hmac.mac_prepared ~key:vote_tag_key vote_payload));
     Test.make ~name:"sim-sign"
       (Staged.stage (fun () -> Marlin_crypto.Signature.sign kc ~signer:3 "msg"));
     Test.make ~name:"threshold combine (21/31)"
@@ -87,6 +112,11 @@ let tests =
                  Marlin_sim.Event_queue.push resident_queue ~time:(time +. delay) v
              | None -> ()
            done));
+    Test.make ~name:"mempool commit x1000 (100k keys committed)"
+      (Staged.stage (fun () ->
+           Array.iter
+             (fun op -> ignore (Marlin_runtime.Mempool.commit committed_pool op))
+             recommits));
   ]
 
 let run () =

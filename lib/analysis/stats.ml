@@ -129,28 +129,69 @@ module Reservoir = struct
   let is_empty t = t.count = 0
   let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
 
+  (* Wirth's selection: afterwards [a.(k)] is what a full [Float.compare]
+     sort of [a.(lo..hi)] would put there, nothing in [lo, k) is above it
+     and nothing in (k, hi] is below it. Expected linear time; the
+     median-of-three pivot keeps sorted and constant inputs linear too. *)
+  let select a ~lo ~hi k =
+    let lo = ref lo and hi = ref hi in
+    while !lo < !hi do
+      let x = a.(!lo) and y = a.((!lo + !hi) / 2) and z = a.(!hi) in
+      let pivot =
+        if Float.compare x y <= 0 then
+          if Float.compare y z <= 0 then y
+          else if Float.compare x z <= 0 then z
+          else x
+        else if Float.compare x z <= 0 then x
+        else if Float.compare y z <= 0 then z
+        else y
+      in
+      let i = ref !lo and j = ref !hi in
+      while !i <= !j do
+        while Float.compare a.(!i) pivot < 0 do incr i done;
+        while Float.compare a.(!j) pivot > 0 do decr j done;
+        if !i <= !j then begin
+          let v = a.(!i) in
+          a.(!i) <- a.(!j);
+          a.(!j) <- v;
+          incr i;
+          decr j
+        end
+      done;
+      (* [lo..j] <= pivot <= [i..hi], and everything between equals it *)
+      if k <= !j then hi := !j else if k >= !i then lo := !i else lo := !hi
+    done
+
+  (* The kept sample at percentile [p], selected within [a.(!from..)]; a
+     later, higher percentile can then start from its rank, since
+     everything it needs is at or above it. *)
+  let select_rank a ~from p =
+    let n = Array.length a in
+    let k = rank_of ~n p in
+    select a ~lo:!from ~hi:(n - 1) k;
+    from := k;
+    a.(k)
+
   let percentile t ~p =
     let n = kept t in
-    if n = 0 then 0.
-    else begin
-      let sorted = Array.sub t.samples 0 n in
-      Array.sort Float.compare sorted;
-      sorted.(rank_of ~n p)
-    end
+    if n = 0 then 0. else select_rank (Array.sub t.samples 0 n) ~from:(ref 0) p
 
   let summarize t =
     let n = kept t in
     if n = 0 then empty_summary
     else begin
-      let sorted = Array.sub t.samples 0 n in
-      Array.sort Float.compare sorted;
+      let a = Array.sub t.samples 0 n and from = ref 0 in
+      let p50 = select_rank a ~from 50. in
+      let p95 = select_rank a ~from 95. in
+      let p99 = select_rank a ~from 99. in
+      let p999 = select_rank a ~from 99.9 in
       {
         count = t.count;
         mean = mean t;
-        p50 = sorted.(rank_of ~n 50.);
-        p95 = sorted.(rank_of ~n 95.);
-        p99 = sorted.(rank_of ~n 99.);
-        p999 = sorted.(rank_of ~n 99.9);
+        p50;
+        p95;
+        p99;
+        p999;
         (* min/max are exact over the whole stream, not just the kept set *)
         min = t.min;
         max = t.max;

@@ -7,10 +7,12 @@ val mac : key:string -> string -> Sha256.t
     RFC. *)
 
 type key
-(** A key with its inner/outer pad blocks precomputed. *)
+(** A key with its inner and outer pad blocks already absorbed: the two
+    SHA-256 midstates every tag under the key starts from. *)
 
 val prepare : string -> key
-(** Derive the pad blocks once; [mac_prepared] with the result equals
-    [mac] with the raw key. *)
+(** [mac_prepared] with the result equals [mac] with the raw key. The pad
+    blocks are absorbed once, on the key's first tag, which saves two of
+    the four block compressions a short message's tag costs. *)
 
 val mac_prepared : key:key -> string -> Sha256.t

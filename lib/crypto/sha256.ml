@@ -40,6 +40,15 @@ module Ctx = struct
       w = Array.make 64 0l;
     }
 
+  let copy ctx =
+    {
+      h = Array.copy ctx.h;
+      buf = Bytes.copy ctx.buf;
+      buf_len = ctx.buf_len;
+      total = ctx.total;
+      w = Array.make 64 0l;
+    }
+
   let ( &&& ) = Int32.logand
   let ( ^^^ ) = Int32.logxor
   let ( ||| ) = Int32.logor

@@ -44,6 +44,12 @@ module Ctx : sig
   type ctx
 
   val create : unit -> ctx
+
+  val copy : ctx -> ctx
+  (** An independent context in the same state: feeding either leaves the
+      other as it was. {!Hmac} keeps the states left after its pad blocks
+      and starts every tag from copies of them. *)
+
   val feed_string : ctx -> string -> unit
   val feed_bytes : ctx -> bytes -> unit
   val finalize : ctx -> t

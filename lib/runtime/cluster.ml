@@ -80,8 +80,7 @@ module Make (P : C.PROTOCOL) = struct
     mutable cpu_free : float;
     mutable timer_gen : int;
     mutable crashed : bool;
-    mutable executed : int;
-    mutable commit_log : (float * int) list; (* (time, ops) newest first *)
+    commit_log : Commit_log.t;
   }
 
   type client = {
@@ -112,7 +111,7 @@ module Make (P : C.PROTOCOL) = struct
     (* submit time of every op on the wire, keyed by (client, seq);
        removed at first commit or ingress rejection, so the table is
        bounded by true in-flight, not by key space *)
-    inflight : (int * int, float) Hashtbl.t;
+    inflight : Key_table.t;
     lat : Stats.Reservoir.t;
     mutable generated : int;
     mutable sent : int;
@@ -171,25 +170,23 @@ module Make (P : C.PROTOCOL) = struct
        the CPU-completion instant. *)
     let crypto_cost = Cpu_meter.take (P.cpu_meter r.proto) in
     let commit_cost = ref 0. in
-    let block_commits = ref [] in (* per-block executed ops, newest first *)
+    let executed = ref [] and k = ref 0 in (* executed ops, newest first *)
     List.iter
       (fun a ->
         match a with
         | C.Commit blocks ->
             List.iter
               (fun b ->
-                (* execute each op once per replica: marking it as it
+                (* execute each op once per replica: committing it as it
                    passes also drops a key repeated within this commit *)
-                let ops =
-                  List.filter
-                    (fun op ->
-                      if Mempool.is_committed r.mempool op then false
-                      else begin
-                        Mempool.mark_committed r.mempool [ op ];
-                        true
-                      end)
-                    (Batch.to_list b.Block.payload)
-                in
+                let before = !k in
+                Batch.iter
+                  (fun op ->
+                    if Mempool.commit r.mempool op then begin
+                      executed := op :: !executed;
+                      incr k
+                    end)
+                  b.Block.payload;
                 let block_bytes =
                   Block.wire_size ~sig_bytes:t.sig_bytes b
                   + (Batch.length b.Block.payload * t.params.op_size)
@@ -197,23 +194,16 @@ module Make (P : C.PROTOCOL) = struct
                 commit_cost :=
                   !commit_cost
                   +. Sim_disk.commit_cost r.disk ~bytes:block_bytes
-                  +. (float_of_int (List.length ops) *. t.params.exec_cost)
-                  +. Cost_model.hash_cost ~bytes:block_bytes;
-                block_commits := ops :: !block_commits)
+                  +. (float_of_int (!k - before) *. t.params.exec_cost)
+                  +. Cost_model.hash_cost ~bytes:block_bytes)
               blocks
         | C.Send _ | C.Broadcast _ | C.Timer _ -> ())
       actions;
     (* in commit order: the latency reservoir samples in this order *)
-    let commits = List.concat (List.rev !block_commits) in
+    let commits = List.rev !executed in
     let finish = start +. crypto_cost +. !commit_cost in
     r.cpu_free <- finish;
-    (* record metrics *)
-    (match commits with
-    | [] -> ()
-    | _ :: _ ->
-        let k = List.length commits in
-        r.executed <- r.executed + k;
-        r.commit_log <- (finish, k) :: r.commit_log);
+    if !k > 0 then Commit_log.append r.commit_log ~time:finish ~ops:!k;
     (* open loop: the first replica to execute an op closes its latency
        measurement (the committed-key filter means each op lands here once
        per replica, and the inflight lookup makes the first one win) *)
@@ -221,21 +211,21 @@ module Make (P : C.PROTOCOL) = struct
     | Some os, _ :: _ ->
         List.iter
           (fun (op : Operation.t) ->
-            let key = Operation.key op in
-            match Hashtbl.find_opt os.inflight key with
-            | Some t0 ->
-                Hashtbl.remove os.inflight key;
-                os.completed_ops <- os.completed_ops + 1;
-                Stats.Reservoir.add os.lat (finish -. t0);
-                (match t.params.obs with
-                | None -> ()
-                | Some run -> (
-                    match Marlin_obs.Run.timeseries run with
-                    | None -> ()
-                    | Some ts ->
-                        Marlin_obs.Timeseries.note_completion ts ~time:finish
-                          ~latency:(finish -. t0)))
-            | None -> ())
+            let client = op.Operation.client and seq = op.Operation.seq in
+            let t0 = Key_table.value os.inflight ~client ~seq in
+            if not (Float.is_nan t0) then begin
+              Key_table.remove os.inflight ~client ~seq;
+              os.completed_ops <- os.completed_ops + 1;
+              Stats.Reservoir.add os.lat (finish -. t0);
+              (match t.params.obs with
+              | None -> ()
+              | Some run -> (
+                  match Marlin_obs.Run.timeseries run with
+                  | None -> ()
+                  | Some ts ->
+                      Marlin_obs.Timeseries.note_completion ts ~time:finish
+                        ~latency:(finish -. t0)))
+            end)
           commits
     | _ -> ());
     (* emit *)
@@ -322,7 +312,8 @@ module Make (P : C.PROTOCOL) = struct
               match t.open_loop with
               | Some os when src >= t.params.n ->
                   os.ingress_rejected <- os.ingress_rejected + 1;
-                  Hashtbl.remove os.inflight (Operation.key op)
+                  Key_table.remove os.inflight ~client:op.Operation.client
+                    ~seq:op.Operation.seq
               | _ -> ()))
       | _ ->
           let view_before = P.current_view r.proto in
@@ -436,7 +427,7 @@ module Make (P : C.PROTOCOL) = struct
     else begin
       os.sent <- os.sent + 1;
       let op = Operation.make ~client ~seq ~body:"" in
-      Hashtbl.replace os.inflight (Operation.key op) now;
+      Key_table.set_value os.inflight ~client ~seq now;
       send t ~earliest:now ~src:s.s_endpoint ~dst:contact
         (Message.make ~sender:s.s_endpoint ~view:0 (Message.Client_op op))
     end;
@@ -504,8 +495,7 @@ module Make (P : C.PROTOCOL) = struct
         cpu_free = 0.;
         timer_gen = 0;
         crashed = false;
-        executed = 0;
-        commit_log = [];
+        commit_log = Commit_log.create ();
       }
     in
     let make_client index =
@@ -544,7 +534,7 @@ module Make (P : C.PROTOCOL) = struct
                         Arrival.Sampler.create per_source ~rng:(Rng.split rng);
                       s_next_seq = 0;
                     });
-              inflight = Hashtbl.create 4096;
+              inflight = Key_table.create ();
               lat = Stats.Reservoir.create ~capacity:8192 ();
               generated = 0;
               sent = 0;
@@ -708,11 +698,7 @@ module Make (P : C.PROTOCOL) = struct
   (* ---------- measurements ---------- *)
 
   let committed_ops_in t ~replica ~since ~until =
-    List.fold_left
-      (fun acc (time, ops) ->
-        if time >= since && time <= until then acc + ops else acc)
-      0
-      t.replicas.(replica).commit_log
+    Commit_log.ops_in t.replicas.(replica).commit_log ~since ~until
 
   let latencies_in t ~since ~until =
     Array.to_list t.clients
@@ -722,18 +708,11 @@ module Make (P : C.PROTOCOL) = struct
                if time >= since && time <= until then Some latency else None)
              cl.completed)
 
-  let total_executed t ~replica = t.replicas.(replica).executed
+  let total_executed t ~replica =
+    Commit_log.total t.replicas.(replica).commit_log
 
   let first_commit_after t ~replica instant =
-    List.fold_left
-      (fun acc (time, _) ->
-        if time > instant then
-          match acc with
-          | None -> Some time
-          | Some best -> Some (Float.min best time)
-        else acc)
-      None
-      t.replicas.(replica).commit_log
+    Commit_log.first_after t.replicas.(replica).commit_log instant
 
   let view_change_start t = t.vc_start
   let pre_prepare_seen t = t.pre_prepare_seen
@@ -769,7 +748,7 @@ module Make (P : C.PROTOCOL) = struct
       completed = os.completed_ops - os.base_completed;
       latency = Stats.Reservoir.summarize os.lat;
       peak_occupancy = os.peak_occ;
-      inflight = Hashtbl.length os.inflight;
+      inflight = Key_table.length os.inflight;
     }
 
   let mempool_stats t =

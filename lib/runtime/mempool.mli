@@ -77,11 +77,23 @@ val take : t -> max:int -> Marlin_types.Operation.t list
     interleavings propose byte-identical batches (the simulator's
     regression gate diffs whole runs, so this matters). *)
 
+val commit : t -> Marlin_types.Operation.t -> bool
+(** Record one operation as committed, in a single table probe: [true]
+    when it was not committed here before (the caller executes it),
+    [false] for a repeat. Its occupancy and per-client budget are
+    released. A key never added here is remembered as committed too, so
+    {!is_committed} is the replica's record of every operation it has
+    executed.
+
+    A committed operation still queued here is not searched for: it stays
+    in the FIFO, skipped by {!take} and {!snapshot}, until such stale
+    entries outnumber the live ones, when one pass drops them all in
+    order. A key never added costs no more than the probe, which is the
+    common case: every replica commits every operation, and most never
+    held it. *)
+
 val mark_committed : t -> Marlin_types.Operation.t list -> unit
-(** Remove committed operations, remember their keys, and release their
-    occupancy and per-client budget. A key never added here is remembered
-    as committed too, so {!is_committed} is the replica's record of every
-    operation it has executed. *)
+(** [commit] each operation in turn. *)
 
 val pending : t -> int
 

@@ -9,6 +9,7 @@ let empty = { ops = [||]; cached_digest = None; cached_wire_size = -1 }
 let of_list ops =
   { ops = Array.of_list ops; cached_digest = None; cached_wire_size = -1 }
 let to_list b = Array.to_list b.ops
+let iter f b = Array.iter f b.ops
 let length b = Array.length b.ops
 let is_empty b = Array.length b.ops = 0
 

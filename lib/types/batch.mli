@@ -5,6 +5,10 @@ type t
 val empty : t
 val of_list : Operation.t list -> t
 val to_list : t -> Operation.t list
+
+val iter : (Operation.t -> unit) -> t -> unit
+(** The operations in batch order, without building a list. *)
+
 val length : t -> int
 val is_empty : t -> bool
 val digest : t -> Marlin_crypto.Sha256.t

@@ -185,6 +185,28 @@ let qcheck_cases =
       (fun xs ->
         let m = Stats.mean xs in
         m >= Stats.minimum xs -. 1e-9 && m <= Stats.maximum xs +. 1e-9);
+    (* The reservoir selects its four ranks instead of sorting; the list
+       front end sorts. Streams longer than the capacity exercise the
+       kept (sampled) set, and a small value range forces ties. *)
+    Test.make ~count:300 ~name:"reservoir summary = list summary of kept samples"
+      (pair (int_range 1 40)
+         (list_of_size Gen.(0 -- 200)
+            (oneof [ float_bound_inclusive 1000.; map float_of_int (int_bound 5) ])))
+      (fun (capacity, xs) ->
+        let r = Stats.Reservoir.create ~capacity () in
+        List.iter (Stats.Reservoir.add r) xs;
+        let s = Stats.Reservoir.summarize r
+        and l = Stats.summarize (Stats.Reservoir.samples r) in
+        Float.equal s.Stats.p50 l.Stats.p50
+        && Float.equal s.Stats.p95 l.Stats.p95
+        && Float.equal s.Stats.p99 l.Stats.p99
+        && Float.equal s.Stats.p999 l.Stats.p999
+        && List.for_all
+             (fun p ->
+               Float.equal
+                 (Stats.Reservoir.percentile r ~p)
+                 (Stats.percentile (Stats.Reservoir.samples r) ~p))
+             [ 0.; 12.5; 50.; 99.9; 100. ]);
     Test.make ~count:100 ~name:"communication monotone in n"
       (pair (oneofl Complexity.all) (int_range 4 200))
       (fun (p, n) ->

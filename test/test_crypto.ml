@@ -159,9 +159,40 @@ let test_cost_model () =
     (hash_cost ~bytes:2000 > hash_cost ~bytes:1000
     && hash_cost ~bytes:1000 > 0.)
 
+(* RFC 2104 written out: H((K' xor opad) || H((K' xor ipad) || m)), with
+   K' the key (hashed first when longer than a block) zero-padded to 64. *)
+let reference_hmac ~key msg =
+  let key = if String.length key > 64 then Sha256.to_raw (Sha256.string key) else key in
+  let pad c =
+    String.init 64 (fun i ->
+        Char.chr ((if i < String.length key then Char.code key.[i] else 0) lxor c))
+  in
+  Sha256.string
+    (pad 0x5c ^ Sha256.to_raw (Sha256.string (pad 0x36 ^ msg)))
+
 let qcheck_cases =
   let open QCheck in
   [
+    Test.make ~count:300 ~name:"hmac from prepared midstates = RFC 2104"
+      (pair (string_of_size Gen.(0 -- 150)) (string_of_size Gen.(0 -- 200)))
+      (fun (key, msg) ->
+        let prepared = Hmac.prepare key in
+        let tag = Hmac.mac_prepared ~key:prepared msg in
+        Sha256.equal tag (Hmac.mac ~key msg)
+        && Sha256.equal tag (reference_hmac ~key msg)
+        (* the prepared key is reusable: a second tag starts afresh *)
+        && Sha256.equal (Hmac.mac_prepared ~key:prepared msg) tag);
+    Test.make ~count:200 ~name:"sha256 context copy is independent"
+      (triple (string_of_size Gen.(0 -- 150)) (string_of_size Gen.(0 -- 150))
+         (string_of_size Gen.(0 -- 150)))
+      (fun (prefix, a, b) ->
+        let ctx = Sha256.Ctx.create () in
+        Sha256.Ctx.feed_string ctx prefix;
+        let copy = Sha256.Ctx.copy ctx in
+        Sha256.Ctx.feed_string copy b;
+        Sha256.Ctx.feed_string ctx a;
+        Sha256.equal (Sha256.Ctx.finalize ctx) (Sha256.string (prefix ^ a))
+        && Sha256.equal (Sha256.Ctx.finalize copy) (Sha256.string (prefix ^ b)));
     Test.make ~count:200 ~name:"sha256 hex roundtrip"
       (string_of_size Gen.(0 -- 300))
       (fun s ->
